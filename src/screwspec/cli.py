@@ -4,10 +4,12 @@ Thin veneer over the library: every number printed here is produced by
 a single library call, so CLI output equals direct API output bit for
 bit.  Commands: energy, sweep, oracle, verify, wavefunction.
 
-Exit codes: 0 success, 1 invalid input (including malformed flags and
-grids too coarse for the accuracy gate), 2 when no real level exists for
-the requested parameters.  Expected failures print a machine-readable
-JSON object on standard error, never a stack trace.
+Exit codes: 0 success, 1 invalid input (including malformed flags, flags
+a command does not read, and grids too coarse for the accuracy gate), 2
+when no real level exists for the requested parameters, 3 when the
+truncation order is too high for its polynomial roots to be trusted.
+Expected failures print a machine-readable JSON object on standard error,
+never a stack trace.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .series import eval_psi_x_derivatives
 from .spectrum import (
     Branch,
     NegativeDiscriminantError,
+    TruncationError,
     ground_state_closed_form,
     ground_state_wavefunction,
     level_series,
@@ -87,10 +90,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--flux", type=float, default=0.0)
     parser.add_argument("--k", type=float, default=1.0)
     parser.add_argument("--ell", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="-", help="output path, or - for stdout")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
+
+
+def _add_format(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument(
+        "--format", choices=["csv", "json"], default=None, help=f"default {default}"
+    )
 
 
 def _params_from(args: argparse.Namespace) -> PhysicalParams:
@@ -184,7 +190,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         method=args.method,
         branch=args.branch,
     )
-    rows = sweep_rows(p, spec, jobs=args.jobs)
+    rows = sweep_rows(p, spec)
     if args.format == "json":
         _emit(rows_to_json(rows), args.out)
     else:
@@ -290,6 +296,7 @@ def build_parser() -> _Parser:
 
     energy = sub.add_parser("energy", help="quantised levels at one parameter point")
     _add_common(energy)
+    _add_format(energy, "json")
     energy.add_argument("--n", type=int, default=1, help="truncation order")
     energy.add_argument("--branch", choices=["plus", "minus", "all"], default="all")
     energy.add_argument(
@@ -299,6 +306,7 @@ def build_parser() -> _Parser:
 
     sweep = sub.add_parser("sweep", help="one-parameter sweep of the n = 1 levels")
     _add_common(sweep)
+    _add_format(sweep, "csv")
     sweep.add_argument("--param", required=True)
     sweep.add_argument("--from", dest="start", type=float, required=True)
     sweep.add_argument("--to", dest="stop", type=float, required=True)
@@ -336,6 +344,8 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="run the named check suite")
     _add_common(verify)
+    _add_format(verify, "text")
+    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.add_argument("--fast", action="store_true", help="shrink random draw counts")
     verify.set_defaults(func=_cmd_verify)
 
@@ -369,6 +379,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OracleAccuracyError as exc:
         _error_json("grid-too-coarse", str(exc))
         return 1
+    except TruncationError as exc:
+        _error_json("truncation-failed", str(exc))
+        return 3
     except (InvalidParameterError, ValueError) as exc:
         _error_json("invalid-input", str(exc))
         return 1

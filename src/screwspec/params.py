@@ -40,6 +40,8 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "Model",
     "PhysicalParams",
@@ -47,6 +49,7 @@ __all__ = [
     "SpectralParameter",
     "InvalidParameterError",
     "NegativeFluxWarning",
+    "admissible",
     "derive_params",
     "spectral_to_energy",
     "energy_to_spectral",
@@ -146,6 +149,31 @@ class PhysicalParams:
                 NegativeFluxWarning,
                 stacklevel=3,
             )
+
+
+def admissible(p: PhysicalParams, field: str, values: np.ndarray) -> np.ndarray:
+    """Where ``p`` with ``field`` set to each of ``values`` meets the invariants.
+
+    The elementwise form of the checks in :class:`PhysicalParams`, for
+    callers that set one field along a whole axis; the other fields keep
+    their values from ``p``, which are valid.  ``ell`` values must be
+    integral.  Flux is never rejected for its sign.
+    """
+    values = np.asarray(values, dtype=float)
+    ok = np.isfinite(values)
+    if field in ("mass", "k"):
+        ok &= values > 0.0
+    elif field == "beta":
+        ok &= (values > 0.0) & (values < 1.0)
+    elif field == "gamma":
+        ok &= values >= 0.0
+    elif field == "ell":
+        ok &= values == np.floor(values)
+    elif field in ("omega0", "delta") and p.model is Model.INVERSE_SQUARE:
+        ok &= values == 0.0
+    elif field == "omega0":
+        ok &= values > 0.0
+    return ok
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,11 @@ Two routes are implemented side by side:
   DISCREPANT-DOCUMENTED per branch, printing the exact quadratic so the
   numbers can be checked by hand.
 
+Both n = 1 routes also run as one array kernel, :func:`n1_levels`, which
+evaluates a whole parameter axis at once (sweeps use it, and
+:func:`ground_state_closed_form` is the kernel at one point).  Its
+truncation roots are bit for bit those of :func:`truncation_solve`.
+
 The ground-state series seed c_1 has its own closed form per branch;
 :func:`ground_state_wavefunction` cross-checks it against the recurrence
 seed formula, evaluated with the analytic route's rate at the
@@ -50,6 +55,8 @@ __all__ = [
     "Branch",
     "EnergyLevel",
     "NegativeDiscriminantError",
+    "TruncationError",
+    "N1Levels",
     "LambdaPolynomialTable",
     "WavefunctionAudit",
     "PairRecord",
@@ -57,6 +64,8 @@ __all__ = [
     "PeriodicityCheck",
     "lambda_polynomials",
     "truncation_solve",
+    "n1_levels",
+    "closed_form_discriminant",
     "ground_state_closed_form",
     "ground_state_wavefunction",
     "level_series",
@@ -87,6 +96,17 @@ class NegativeDiscriminantError(Exception):
         )
         self.discriminant = discriminant
         self.model = model
+
+
+class TruncationError(RuntimeError):
+    """The truncation route cannot give trustworthy roots at this order.
+
+    Raised when a coefficient of the polynomial table underflows so that
+    c_i loses its degree, when the companion matrix is not finite or its
+    eigenvalues do not converge, and when a polished root fails the
+    backward-error bound.  All three happen at high order (n >= ~70 at
+    ordinary parameters).
+    """
 
 
 @dataclass(frozen=True)
@@ -164,8 +184,25 @@ def lambda_polynomials(
         entries.append(nxt / d3)
     for i, e in enumerate(entries):
         if len(e) != i + 1:
-            raise AssertionError(f"degree of c_{i} is {len(e) - 1}, expected {i}")
+            raise TruncationError(f"degree of c_{i} is {len(e) - 1}, expected {i}")
     return LambdaPolynomialTable(params=p, variant=variant, entries=tuple(entries))
+
+
+def _companions(coeffs: np.ndarray) -> np.ndarray:
+    """Companion matrices of the polynomials along the last axis of ``coeffs``.
+
+    ``coeffs`` holds ascending coefficients, shape (..., d + 1); the result
+    has shape (..., d, d) in the layout of ``npp.polycompanion``: ones on
+    the subdiagonal and ``-c_i / c_d`` down the last column.  Both the
+    one-point route and the n = 1 kernel take their eigenvalues from here,
+    so their seeds agree bit for bit.
+    """
+    d = coeffs.shape[-1] - 1
+    mat = np.zeros(coeffs.shape[:-1] + (d, d))
+    sub = np.arange(d - 1)
+    mat[..., sub + 1, sub] = 1.0
+    mat[..., :, -1] = 0.0 - coeffs[..., :-1] / coeffs[..., -1:]
+    return mat
 
 
 def _real_roots(coeffs: np.ndarray) -> list[float]:
@@ -175,13 +212,17 @@ def _real_roots(coeffs: np.ndarray) -> list[float]:
     polished and then required to satisfy a backward-error bound
     ``|p(x)| <= 1e-10 * sum_k |a_k| |x|^k``.
     """
-    roots = np.polynomial.Polynomial(coeffs).roots()
+    try:
+        with np.errstate(over="ignore"):  # an overflowed companion entry fails just below
+            roots = np.linalg.eigvals(_companions(np.asarray(coeffs, dtype=float)))
+    except np.linalg.LinAlgError as exc:
+        raise TruncationError(f"companion eigenvalues failed: {exc}") from exc
     deriv = npp.polyder(coeffs)
     out: list[float] = []
     for z in roots:
         if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
             continue
-        x = float(z.real)
+        x = float(z.real) + 0.0  # -0.0 -> 0.0, as numpy's root mapping did
         for _ in range(60):
             fx = float(npp.polyval(x, coeffs))
             fpx = float(npp.polyval(x, deriv))
@@ -193,7 +234,7 @@ def _real_roots(coeffs: np.ndarray) -> list[float]:
                 break
         scale = float(npp.polyval(abs(x), np.abs(coeffs)))
         if abs(npp.polyval(x, coeffs)) > ROOT_RESIDUAL_TOL * max(scale, 1e-300):
-            raise RuntimeError(
+            raise TruncationError(
                 f"root polish failed: residual {npp.polyval(x, coeffs):.3e} at x = {x!r}"
             )
         out.append(x)
@@ -235,13 +276,15 @@ def truncation_solve(
     Returns at most n + 1 levels sorted by spectral value (possibly an
     empty list when every root is complex).  For n = 1 with two real
     roots the smaller is labelled ``minus``, the larger ``plus``.
+    Raises :class:`TruncationError` where the order is too high for the
+    monomial table and companion roots.
     """
     if n < 1:
         raise ValueError(f"truncation order must be >= 1: got {n}")
     table = lambda_polynomials(p, n + 2, variant=variant)
     roots = _real_roots(table.entry(n + 1))
     if len(roots) > n + 1:
-        raise AssertionError(f"{len(roots)} roots from a degree-{n + 1} polynomial")
+        raise TruncationError(f"{len(roots)} roots from a degree-{n + 1} polynomial")
     disc = None
     if n == 1:
         c0, c1, c2 = (float(v) for v in table.entry(2))
@@ -270,29 +313,252 @@ def _closed_form_rate(p: PhysicalParams) -> float:
     return 0.0
 
 
-def _closed_form_spectrals(p: PhysicalParams) -> tuple[float, float, float]:
-    """(discriminant, minus, plus) of the analytic n = 1 candidate pair."""
-    d = derive_params(p)
-    iota, j = d.iota, d.j
-    if p.model is Model.OSCILLATOR:
-        w = _closed_form_rate(p)
+_AXIS_FIELDS = ("mass", "beta", "k", "ell", "omega0", "gamma", "delta", "Omega", "flux")
+
+
+@dataclass(frozen=True)
+class N1Levels:
+    """The n = 1 level pair at each point of a parameter axis.
+
+    ``discriminant`` and ``fault`` have shape (N,); the other arrays have
+    shape (N, 2), column 0 for the minus branch and column 1 for plus.
+    ``present`` marks real levels, and the other (N, 2) arrays hold NaN
+    where it is False.  A truncation double root (two roots within 1e-8,
+    relative) is one unlabelled level, kept in column 0 as
+    :func:`truncation_solve` returns it.  ``discriminant`` belongs to the
+    closed form, or to the quadratic c_2 for truncation, and is set at
+    every point.  ``fault`` marks points where the one-point routes raise
+    (:func:`ground_state_closed_form`, :func:`truncation_solve`): the
+    polynomial table loses a degree, a square overflows, the companion
+    matrix is not finite, or a root fails the backward-error bound.
+    """
+
+    discriminant: np.ndarray
+    present: np.ndarray
+    spectral: np.ndarray
+    energy: np.ndarray
+    termination_defect: np.ndarray
+    c1_over_c0: np.ndarray
+    fault: np.ndarray
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x**2`` through libm ``pow``, rounded as Python's float ``**`` rounds it.
+
+    numpy computes an array ``x**2`` as ``x*x``, which differs in the last
+    bit for a few inputs per thousand.
+    """
+    return np.float_power(x, 2.0)
+
+
+def _horner(coeffs: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Ascending coefficients evaluated at x, step for step as ``npp.polyval``."""
+    value = coeffs[-1] + x * 0.0
+    for c in coeffs[-2::-1]:
+        value = c + value * x
+    return value
+
+
+def _n1_table(
+    iota2: np.ndarray, j: np.ndarray, omega: np.ndarray, b2: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """c_1, c_2, c_3 of :func:`lambda_polynomials` elementwise, and where it fails.
+
+    The operations and their order are those of ``lambda_polynomials``:
+    ``_triple`` at i = 0 and 1, ``np.convolve`` for each product and
+    ``polyadd`` for the sum, so each coefficient is bit for bit the
+    table's.  The returned mask marks points where the table raises
+    because a product underflows to a trailing zero that numpy trims.
+    """
+    one_j = 1.0 + j
+    c1 = [(2.0 * omega * one_j - iota2 + 0.5 + j) / (4.0 * one_j), -b2 / (4.0 * one_j)]
+    slope1, slope2 = -b2 / 4.0, b2 / 4.0  # spectral slopes of d1 and d2
+
+    def consts(i: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        d1 = (i + omega + 1.5 + j) * (i + 1.0) - (
+            iota2 + 0.0 - 0.5 - j - 2.0 * omega * one_j
+        ) / 4.0
+        d2 = -omega * i + (0.0 - omega * (3.0 + 2.0 * j)) / 4.0
+        return d1, d2, (i + 2.0 + j) * (i + 2.0)
+
+    d1, d2, d3 = consts(0.0)
+    top = slope1 * c1[1]
+    c2 = [(d1 * c1[0] + d2) / d3, (d1 * c1[1] + slope1 * c1[0] + slope2) / d3, top / d3]
+    d1, d2, d3 = consts(1.0)
+    top3 = c2[2] * slope1
+    c3 = [
+        (c2[0] * d1 + d2 * c1[0]) / d3,
+        (c2[0] * slope1 + c2[1] * d1 + (d2 * c1[1] + slope2 * c1[0])) / d3,
+        (c2[1] * slope1 + c2[2] * d1 + slope2 * c1[1]) / d3,
+        top3 / d3,
+    ]
+    collapse = (slope1 == 0.0) | (c1[1] == 0.0) | (top == 0.0) | (c2[2] == 0.0) | (top3 == 0.0)
+    return c1, c2, c3, collapse
+
+
+def _polished_roots(
+    c: list[np.ndarray], skip: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Real roots of the quadratics ``c``, by the rule of ``_real_roots``.
+
+    One ``eigvals`` call on the stack of companion matrices, then the same
+    imaginary-part filter, Newton polish, backward-error test and 1e-8
+    dedup, run on every candidate at once.  Returns (roots, count, failed):
+    the sorted roots, shape (size, 2), how many of them are real and
+    distinct, and the rows that fail the backward-error test.  Rows in
+    ``skip`` are not solved and count as failed.
+    """
+    coeffs = np.empty((size, 3))
+    for i, ci in enumerate(c):
+        coeffs[:, i] = ci
+    companion = _companions(coeffs)
+    skip = skip | ~np.isfinite(companion).all(axis=(1, 2))
+    companion[skip] = 0.0
+    z = np.linalg.eigvals(companion)
+    x = z.real + 0.0
+    kept = ~(np.abs(z.imag) > 1e-8 * (1.0 + np.abs(x))) & ~skip[:, None]
+    c0, c1, c2 = (np.reshape(a, (-1, 1)) for a in c)
+    d1 = 2.0 * c2
+    active = kept.copy()
+    for _ in range(60):
+        if not active.any():
+            break
+        fx = _horner((c0, c1, c2), x)
+        fpx = _horner((c1, d1), x)
+        active &= fpx != 0.0
+        step = fx / fpx
+        x = np.where(active, x - step, x)
+        active &= ~(np.abs(step) <= 1e-15 * (1.0 + np.abs(x)))
+    ax = np.abs(x)
+    scale = _horner((np.abs(c0), np.abs(c1), np.abs(c2)), ax)
+    residual = _horner((c0, c1, c2), x)
+    failed = kept & (np.abs(residual) > ROOT_RESIDUAL_TOL * np.maximum(scale, 1e-300))
+    swap = ~kept[:, 0] | (kept[:, 1] & (x[:, 1] < x[:, 0]))
+    roots = np.where(swap[:, None], x[:, ::-1], x)
+    both = kept.all(axis=1)
+    distinct = np.abs(roots[:, 1] - roots[:, 0]) > 1e-8 * np.maximum(1.0, np.abs(roots[:, 1]))
+    count = kept.any(axis=1).astype(int) + (both & distinct)
+    return roots, count, failed.any(axis=1) | skip
+
+
+def _n1_derived(f: dict) -> tuple:
+    """iota, iota**2, beta**2 and j of :func:`derive_params`, elementwise."""
+    iota = f["ell"] - f["flux"] - f["beta"] * f["k"]
+    return iota, _square(iota), _square(f["beta"]), np.sqrt(2.0 * f["mass"] * f["gamma"] + 0.25)
+
+
+def _closed_form_quadratic(model: Model, f: dict, iota2, j) -> tuple:
+    """(discriminant, centre, overflow) of the analytic n = 1 pair, elementwise.
+
+    The pair is ``(centre -/+ sqrt(discriminant)) / beta**2``, real where
+    the discriminant is not negative; ``overflow`` marks points where the
+    square of the rate overflows.
+    """
+    if model is Model.OSCILLATOR:
+        w = f["mass"] * f["omega0"] * f["beta"]  # the rate of _closed_form_rate
+        w2 = _square(w)
         disc = (
-            16.0 * iota**2 * (1.0 + j)
+            16.0 * iota2 * (1.0 + j)
             + 16.0 * w * (2.0 + j)
-            + 14.0 * w**2
+            + 14.0 * w2
             - 44.0 * j
-            - 32.0 * p.mass * p.gamma
+            - 32.0 * f["mass"] * f["gamma"]
             - 8.0
         )
-        center = 3.0 - 2.0 * iota**2 + 4.0 * w * (2.0 + j) + 2.0 * j
-    else:
-        disc = iota**2 * (j + 0.25) - j * (j + 1.5) - 0.25
-        center = j + 1.5 - iota**2
-    if disc < 0:
-        raise NegativeDiscriminantError(disc, p.model)
-    sq = math.sqrt(disc)
-    b2 = p.beta**2
-    return disc, (center - sq) / b2, (center + sq) / b2
+        center = 3.0 - 2.0 * iota2 + 4.0 * w * (2.0 + j) + 2.0 * j
+        return disc, center, np.isinf(w2) & np.isfinite(w)
+    disc = iota2 * (j + 0.25) - j * (j + 1.5) - 0.25
+    return disc, j + 1.5 - iota2, False
+
+
+def closed_form_discriminant(p: PhysicalParams) -> float:
+    """The discriminant of the analytic n = 1 pair at ``p``.
+
+    The pair is real where it is not negative.  This is the number
+    :func:`ground_state_closed_form` reports (or raises
+    :class:`NegativeDiscriminantError` with), without the levels.
+    """
+    f = {name: getattr(p, name) for name in _AXIS_FIELDS}
+    with np.errstate(all="ignore"):
+        _, iota2, _, j = _n1_derived(f)
+        return float(_closed_form_quadratic(p.model, f, iota2, j)[0])
+
+
+def n1_levels(
+    p: PhysicalParams,
+    method: str,
+    parameter: str | None = None,
+    values: np.ndarray | None = None,
+) -> N1Levels:
+    """Both n = 1 levels at ``p``, or with ``parameter`` set to each of ``values``.
+
+    ``method`` is ``"closed-form"`` (the analytic pair of
+    :func:`ground_state_closed_form`) or ``"truncation"`` (the roots of
+    c_2, as :func:`truncation_solve` finds them at n = 1).  Every number
+    is computed with the same floating-point operations as the one-point
+    routes, elementwise, so the results are bit for bit theirs.  The
+    values are not validated: that is the caller's job.
+    """
+    f = {name: getattr(p, name) for name in _AXIS_FIELDS}
+    size = 1
+    if parameter is not None:
+        f[parameter] = np.asarray(values, dtype=float)
+        size = len(f[parameter])
+    mass, k = f["mass"], f["k"]
+    with np.errstate(all="ignore"):
+        iota, iota2, b2, j = _n1_derived(f)
+        omega = mass * f["omega0"] * b2
+        c1, c2, c3, collapse = _n1_table(iota2, j, omega, b2)
+        fault = np.isinf(iota2) & np.isfinite(iota)
+        if method == "closed-form":
+            disc, center, overflow = _closed_form_quadratic(p.model, f, iota2, j)
+            fault |= overflow
+            real = ~(disc < 0)
+            sq = np.sqrt(disc)
+            roots = ((center - sq) / b2, (center + sq) / b2)
+            count = 2 * real
+            fault |= real & collapse
+        else:
+            disc = c2[1] * c2[1] - 4.0 * c2[2] * c2[0]
+            pairs, count, failed = _polished_roots(c2, collapse | fault, size)
+            roots = (pairs[:, 0], pairs[:, 1])
+            fault |= failed
+        k2 = _square(k)
+        fault |= (count > 0) & np.isinf(k2) & np.isfinite(k)
+        count = np.where(fault, 0, count)
+        two_mass, tilt = 2.0 * mass, f["Omega"] * iota
+        columns = []
+        for col, s in enumerate(roots):
+            s = np.where(count > col, s, np.nan)
+            c1_value = _horner(c1, s)
+            # max() of |c_0|, |c_1|, |c_2| as Python takes it (|c_0| is NaN only with s)
+            largest = np.fmax(np.abs(1.0 + s * 0.0), np.abs(c1_value))
+            largest = np.fmax(largest, np.abs(_horner(c2, s)))
+            columns.append(
+                (
+                    s,
+                    (k2 + s) / two_mass + f["delta"] - tilt,
+                    np.abs(_horner(c3, s)) / largest,
+                    c1_value,
+                )
+            )
+
+    def stacked(i: int) -> np.ndarray:
+        out = np.empty((size, 2))
+        out[:, 0], out[:, 1] = columns[0][i], columns[1][i]
+        return out
+
+    present = np.empty((size, 2), dtype=bool)
+    present[:, 0], present[:, 1] = count > 0, count > 1
+    return N1Levels(
+        discriminant=np.full(size, disc),
+        present=present,
+        spectral=stacked(0),
+        energy=stacked(1),
+        termination_defect=stacked(2),
+        c1_over_c0=stacked(3),
+        fault=np.full(size, fault),
+    )
 
 
 def ground_state_closed_form(p: PhysicalParams) -> list[EnergyLevel]:
@@ -302,13 +568,39 @@ def ground_state_closed_form(p: PhysicalParams) -> list[EnergyLevel]:
     The returned records carry the truncation-condition diagnostics
     (``c1_over_c0``, ``termination_defect``) evaluated at these spectral
     values, so discrepancies with :func:`truncation_solve` are visible
-    directly on the level objects.
+    directly on the level objects.  This is :func:`n1_levels` at one point.
     """
-    disc, lo, hi = _closed_form_spectrals(p)
-    table = lambda_polynomials(p, 3)
+    pair = n1_levels(p, "closed-form")
+    if pair.fault[0]:
+        # raise what the scalar steps raise, in their order: Python's float
+        # ** on the closed form's squares, the polynomial table, then k**2
+        derive_params(p).iota ** 2
+        _closed_form_rate(p) ** 2
+        lambda_polynomials(p, 3)
+        p.k ** 2
+        raise OverflowError("the n = 1 closed form overflows at these parameters")
+    disc = float(pair.discriminant[0])
+    if not pair.present[0, 0]:
+        raise NegativeDiscriminantError(disc, p.model)
+    columns = zip(
+        (Branch.MINUS, Branch.PLUS),
+        pair.energy[0].tolist(),
+        pair.spectral[0].tolist(),
+        pair.termination_defect[0].tolist(),
+        pair.c1_over_c0[0].tolist(),
+    )
     return [
-        _level_from_spectral(p, table, 1, lo, Branch.MINUS, disc),
-        _level_from_spectral(p, table, 1, hi, Branch.PLUS, disc),
+        EnergyLevel(
+            n=1,
+            ell=p.ell,
+            branch=branch,
+            energy=energy,
+            spectral=spectral,
+            discriminant=disc,
+            termination_defect=defect,
+            c1_over_c0=c1,
+        )
+        for branch, energy, spectral, defect, c1 in columns
     ]
 
 

@@ -5,23 +5,27 @@ range and records both branches (or one) of the ground-level pair at
 each value.  Missing levels (negative discriminant, complex truncation
 roots) produce rows with empty energy cells rather than being dropped,
 so gaps in the spectrum stay visible in the output.
+
+The whole axis is evaluated at once by the array kernel
+:func:`~screwspec.spectrum.n1_levels`, whose numbers are bit for bit those
+of the one-point routes.  The axis is checked against the
+:class:`~screwspec.params.PhysicalParams` invariants as a mask; the first
+value that breaks one (or that the one-point routes cannot solve) is
+rebuilt and solved on its own, so the error and any
+:class:`~screwspec.params.NegativeFluxWarning` are the ones a point by
+point sweep gives.  A valid sweep builds one ``PhysicalParams``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .params import InvalidParameterError, PhysicalParams
-from .spectrum import (
-    Branch,
-    EnergyLevel,
-    NegativeDiscriminantError,
-    ground_state_closed_form,
-    truncation_solve,
-)
+import numpy as np
+
+from .params import InvalidParameterError, PhysicalParams, admissible
+from .spectrum import ground_state_closed_form, n1_levels, truncation_solve
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
@@ -75,8 +79,11 @@ class SweepRow:
     """One (parameter value, branch) cell of a sweep.
 
     ``energy``/``spectral``/``termination_defect`` are None when no real
-    level exists there; ``discriminant`` is still recorded in that case
-    so the gap is attributable.
+    level exists there; ``discriminant`` is recorded on every row, gap
+    rows included, so each gap is attributable: the closed-form
+    discriminant, or that of the quadratic c_2 whose roots the truncation
+    method takes.  A truncation double root is one level, reported on the
+    ``minus`` row.
     """
 
     param_value: float
@@ -106,69 +113,65 @@ def sweep_values(spec: SweepSpec) -> list[float]:
     return values
 
 
-def _branches(spec: SweepSpec) -> tuple[str, ...]:
-    return ("minus", "plus") if spec.branch == "all" else (spec.branch,)
-
-
-def _rows_at(p: PhysicalParams, spec: SweepSpec, value: float) -> list[SweepRow]:
+def _params_at(p: PhysicalParams, spec: SweepSpec, value: float) -> PhysicalParams:
     if spec.parameter == "ell":
-        q = dataclasses.replace(p, ell=int(value))
-    else:
-        q = dataclasses.replace(p, **{spec.parameter: value})
-    found: dict[str, EnergyLevel] = {}
-    discriminant: float | None = None
-    if spec.method == "closed-form":
-        try:
-            for lv in ground_state_closed_form(q):
-                found[lv.branch.value] = lv
-                discriminant = lv.discriminant
-        except NegativeDiscriminantError as exc:
-            discriminant = exc.discriminant
-    else:
-        levels = truncation_solve(q, 1)
-        for lv in levels:
-            discriminant = lv.discriminant
-            if lv.branch is not None:
-                found[lv.branch.value] = lv
-            else:
-                found[Branch.MINUS.value] = lv
-    rows = []
-    for branch in _branches(spec):
-        lv = found.get(branch)
-        if lv is None:
-            rows.append(
-                SweepRow(value, q.ell, branch, None, None, discriminant, None)
-            )
-        else:
-            rows.append(
-                SweepRow(
-                    value,
-                    q.ell,
-                    branch,
-                    lv.energy,
-                    lv.spectral,
-                    lv.discriminant,
-                    lv.termination_defect,
-                )
-            )
-    return rows
+        value = int(value)
+    return dataclasses.replace(p, **{spec.parameter: value})
 
 
-def sweep_rows(p: PhysicalParams, spec: SweepSpec, jobs: int = 1) -> list[SweepRow]:
+def sweep_rows(p: PhysicalParams, spec: SweepSpec) -> list[SweepRow]:
     """All rows of a sweep, in sweep order then branch order.
 
-    ``jobs > 1`` evaluates parameter values concurrently; the row order
-    (and hence serialised output) is identical either way.
+    Raises what ``PhysicalParams`` or the one-point route raises at the
+    first value where either fails, and warns once if the flux goes
+    negative before that.
     """
     values = sweep_values(spec)
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be >= 1: got {jobs}")
-    if jobs == 1:
-        groups = [_rows_at(p, spec, v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(lambda v: _rows_at(p, spec, v), values))
-    return [row for group in groups for row in group]
+    ells = [int(v) for v in values] if spec.parameter == "ell" else [p.ell] * len(values)
+    axis = np.array(ells if spec.parameter == "ell" else values, dtype=float)
+    ok = admissible(p, spec.parameter, axis)
+    end = len(values) if ok.all() else int(ok.argmin())
+    levels = n1_levels(p, spec.method, spec.parameter, axis[:end])
+    if levels.fault.any():
+        end = int(levels.fault.argmax())
+    # One PhysicalParams per sweep: at the first negative flux, so that its
+    # warning comes out, or else at the first value.
+    first = int((axis[: end + 1] < 0.0).argmax()) if spec.parameter == "flux" else 0
+    checked = _params_at(p, spec, values[first])
+    if end < len(values):
+        q = checked if first == end else _params_at(p, spec, values[end])
+        if spec.method == "closed-form":
+            ground_state_closed_form(q)
+        else:
+            truncation_solve(q, 1)
+        raise RuntimeError(
+            f"the n = 1 kernel stopped at {spec.parameter} = {values[end]!r}, "
+            "where the one-point route succeeds"
+        )
+    disc = levels.discriminant.tolist()
+    columns = [(0, "minus"), (1, "plus")]
+    if spec.branch != "all":
+        columns = [columns[spec.branch == "plus"]]
+    cells = [
+        (
+            branch,
+            levels.present[:, col].tolist(),
+            levels.energy[:, col].tolist(),
+            levels.spectral[:, col].tolist(),
+            levels.termination_defect[:, col].tolist(),
+        )
+        for col, branch in columns
+    ]
+    rows = []
+    for i, value in enumerate(values):
+        for branch, present, energy, spectral, defect in cells:
+            if present[i]:
+                rows.append(
+                    SweepRow(value, ells[i], branch, energy[i], spectral[i], disc[i], defect[i])
+                )
+            else:
+                rows.append(SweepRow(value, ells[i], branch, None, None, disc[i], None))
+    return rows
 
 
 def _cell(v: float | None) -> str:

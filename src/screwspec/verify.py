@@ -41,9 +41,8 @@ from .series import (
     series_residual,
 )
 from .spectrum import (
-    NegativeDiscriminantError,
-    _closed_form_spectrals,
     ab_periodicity_check,
+    closed_form_discriminant,
     compare_closed_form_vs_truncation,
     ground_state_closed_form,
     lambda_polynomials,
@@ -153,11 +152,9 @@ def _random_params_with_closed_form(
     """
     for _ in range(5000):
         p = _random_params(rng, model)
-        try:
-            _closed_form_spectrals(p)
-            if shift:
-                _closed_form_spectrals(dataclasses.replace(p, flux=p.flux + shift))
-        except NegativeDiscriminantError:
+        if closed_form_discriminant(p) < 0:
+            continue
+        if shift and closed_form_discriminant(dataclasses.replace(p, flux=p.flux + shift)) < 0:
             continue
         return p
     raise RuntimeError("could not sample parameters with a real closed form")

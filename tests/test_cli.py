@@ -98,6 +98,16 @@ class TestEnergy:
         assert data[0]["branch"] is None
         assert data[0]["n"] == 2
 
+    def test_high_truncation_order_is_exit_3(self, capsys):
+        code, out, err = run(
+            ["energy", *OSC_ARGS, "--method", "truncation", "--n", "80"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "truncation-failed"
+        assert payload["message"] == "degree of c_79 is 78, expected 79"
+
     def test_closed_form_rejects_higher_orders(self, capsys):
         code, _, err = run(["energy", *OSC_ARGS, "--n", "2"], capsys)
         assert code == 1
@@ -139,6 +149,41 @@ class TestBadInput:
         assert "cannot sweep" in json.loads(err)["message"]
 
 
+class TestPerCommandFlags:
+    # a flag is offered only by the commands that read it; anywhere else
+    # argparse rejects it with the package's JSON error
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("oracle", ["--format", "json"]),
+            ("wavefunction", ["--format", "json"]),
+            ("energy", ["--seed", "3"]),
+            ("sweep", ["--seed", "3"]),
+            ("oracle", ["--seed", "3"]),
+            ("wavefunction", ["--seed", "3"]),
+            ("energy", ["--jobs", "2"]),
+            ("sweep", ["--jobs", "2"]),
+            ("oracle", ["--jobs", "2"]),
+            ("verify", ["--jobs", "2"]),
+            ("wavefunction", ["--jobs", "2"]),
+        ],
+    )
+    def test_unread_flag_is_exit_1(self, capsys, command, flag):
+        extra = ["--param", "flux", "--from", "0", "--to", "1", "--steps", "3"]
+        argv = [command, *flag, *(extra if command == "sweep" else [])]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert f"unrecognized arguments: {' '.join(flag)}" in payload["message"]
+
+    def test_verify_reads_seed(self, capsys):
+        code, out, _ = run(["verify", "--fast", "--seed", "3", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["overall"] == "PASS"
+
+
 class TestSweep:
     def test_csv_equals_library_output(self, capsys):
         code, out, _ = run(
@@ -149,13 +194,6 @@ class TestSweep:
         assert code == 0
         spec = SweepSpec(parameter="beta", start=0.3, stop=0.7, steps=4)
         assert out == rows_to_csv(sweep_rows(P_OSC, spec))
-
-    def test_jobs_flag_is_deterministic(self, capsys):
-        argv = ["sweep", *OSC_ARGS, "--param", "Omega", "--from", "-1",
-                "--to", "1", "--steps", "5"]
-        _, serial, _ = run(argv, capsys)
-        _, parallel, _ = run([*argv, "--jobs", "4"], capsys)
-        assert serial == parallel
 
     def test_gnuplot_stub(self, capsys, tmp_path):
         data = tmp_path / "flux.csv"

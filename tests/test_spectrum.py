@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from screwspec import (
     Branch,
@@ -20,9 +22,16 @@ from screwspec import (
     level_series,
     levels_to_json,
     series_coefficients,
+    spectral_to_energy,
     truncation_solve,
 )
 from screwspec.series import _seed, _triple
+from screwspec.spectrum import (
+    TruncationError,
+    _companions,
+    closed_form_discriminant,
+    n1_levels,
+)
 
 P_OSC = PhysicalParams(
     model=Model.OSCILLATOR,
@@ -399,3 +408,187 @@ class TestJson:
         text = levels_to_json(ground_state_closed_form(P_OSC))
         data = json.loads(text)
         assert [rec["branch"] for rec in data] == ["minus", "plus"]
+
+
+class TestHighOrderTruncation:
+    # the README point: companion entries overflow at n = 75-76, and c_79
+    # loses its leading coefficient from n = 77 on
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (75, "companion eigenvalues failed"),
+            (76, "companion eigenvalues failed"),
+            (77, "degree of c_79 is 78, expected 79"),
+            (80, "degree of c_79 is 78, expected 79"),
+        ],
+    )
+    def test_raises_the_typed_error(self, n, message):
+        with pytest.raises(TruncationError, match=message):
+            truncation_solve(P_OSC, n)
+
+    def test_failed_polish_raises_the_typed_error(self):
+        p = PhysicalParams(
+            model=Model.INVERSE_SQUARE, mass=1.3121918303736375,
+            beta=0.35979832337616935, k=0.9608369981557852, ell=2,
+            gamma=0.028319671145462966, flux=0.2485665529991279,
+        )
+        with pytest.raises(TruncationError, match="root polish failed"):
+            truncation_solve(p, 70)
+
+
+def reference_closed_form(p):
+    """The n = 1 closed form at one point, in Python floats.
+
+    The scalar formula the array kernel replaced, with its diagnostics
+    from the polynomial table; :func:`ground_state_closed_form` must equal
+    it bit for bit.
+    """
+    d = derive_params(p)
+    iota, j = d.iota, d.j
+    if p.model is Model.OSCILLATOR:
+        w = p.mass * p.omega0 * p.beta
+        disc = (
+            16.0 * iota**2 * (1.0 + j) + 16.0 * w * (2.0 + j) + 14.0 * w**2
+            - 44.0 * j - 32.0 * p.mass * p.gamma - 8.0
+        )
+        center = 3.0 - 2.0 * iota**2 + 4.0 * w * (2.0 + j) + 2.0 * j
+    else:
+        disc = iota**2 * (j + 0.25) - j * (j + 1.5) - 0.25
+        center = j + 1.5 - iota**2
+    if disc < 0:
+        return disc, []
+    table = lambda_polynomials(p, 3)
+    levels = []
+    for s in ((center - math.sqrt(disc)) / p.beta**2, (center + math.sqrt(disc)) / p.beta**2):
+        values = [abs(table.eval(i, s)) for i in range(3)]
+        levels.append((
+            spectral_to_energy(p, s), s, abs(table.eval(3, s)) / max(values),
+            table.eval(1, s),
+        ))
+    return disc, levels
+
+
+def random_points(seed, count):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        osc = i % 2 == 0
+        yield PhysicalParams(
+            model=Model.OSCILLATOR if osc else Model.INVERSE_SQUARE,
+            mass=float(10 ** rng.uniform(-1, 1)),
+            beta=float(rng.uniform(0.01, 0.99)),
+            k=float(10 ** rng.uniform(-2, 1)),
+            ell=int(rng.integers(-6, 7)),
+            omega0=float(10 ** rng.uniform(-2, 2)) if osc else 0.0,
+            gamma=float(10 ** rng.uniform(-3, 1)),
+            delta=float(rng.uniform(-2, 2)) if osc else 0.0,
+            Omega=float(rng.uniform(-2, 2)),
+            flux=float(rng.uniform(0, 6)),
+        )
+
+
+class TestN1Kernel:
+    def test_closed_form_is_bitwise_the_scalar_formula(self):
+        gaps = 0
+        for p in random_points(11, 400):
+            disc, want = reference_closed_form(p)
+            assert repr(closed_form_discriminant(p)) == repr(disc)
+            try:
+                got = ground_state_closed_form(p)
+            except NegativeDiscriminantError as exc:
+                got = []
+                assert repr(exc.discriminant) == repr(disc)
+                gaps += 1
+            assert [
+                repr((lv.energy, lv.spectral, lv.termination_defect, lv.c1_over_c0))
+                for lv in got
+            ] == [repr(level) for level in want]
+            assert all(repr(lv.discriminant) == repr(disc) for lv in got)
+        assert 0 < gaps < 400
+
+    @staticmethod
+    def assert_truncation_solve(p, got, i=0):
+        """Row ``i`` of an N1Levels equals ``truncation_solve(p, 1)`` bit for bit."""
+        want = truncation_solve(p, 1)
+        assert not got.fault[i]
+        assert got.present[i].sum() == len(want)
+        for col, lv in enumerate(want):
+            assert repr((
+                float(got.energy[i, col]), float(got.spectral[i, col]),
+                float(got.discriminant[i]), float(got.termination_defect[i, col]),
+                float(got.c1_over_c0[i, col]),
+            )) == repr((
+                lv.energy, lv.spectral, lv.discriminant, lv.termination_defect,
+                lv.c1_over_c0,
+            ))
+        return len(want)
+
+    def test_truncation_roots_are_bitwise_truncation_solve(self):
+        counts = {self.assert_truncation_solve(p, n1_levels(p, "truncation"))
+                  for p in random_points(12, 400)}
+        assert counts == {0, 2}
+
+    def test_truncation_roots_at_the_gap_edge(self):
+        # bisect the flux to the two adjacent doubles where the c_2
+        # discriminant changes sign, then compare on both sides of that edge,
+        # where the roots are nearly double and Newton's end point hangs on
+        # the eigenvalue seeds
+        p = dataclasses.replace(P_INV, gamma=0.3, mass=0.9, k=0.5, ell=3)
+        disc = lambda flux: n1_levels(p, "truncation", "flux", [flux]).discriminant[0]
+        lo, hi = 1.62, 1.63
+        assert disc(lo) * disc(hi) < 0
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if disc(mid) * disc(lo) > 0 else (lo, mid)
+        fluxes = [lo, hi]
+        for _ in range(40):
+            fluxes = [np.nextafter(fluxes[0], -1.0)] + fluxes + [np.nextafter(fluxes[-1], 2.0)]
+        fluxes += [hi + d for d in np.geomspace(1e-15, 1e-5, 40)]
+        fluxes += [lo - d for d in np.geomspace(1e-15, 1e-5, 40)]
+        fluxes = [float(f) for f in fluxes]
+        axis = n1_levels(p, "truncation", "flux", fluxes)
+        assert np.abs(axis.discriminant[:82]).max() < 1e-12
+        counts = {
+            self.assert_truncation_solve(dataclasses.replace(p, flux=f), axis, i)
+            for i, f in enumerate(fluxes)
+        }
+        assert counts == {0, 1, 2} or counts == {0, 2}
+
+    def test_companions_are_numpys(self):
+        # the seeds of both root routes come from _companions; pin its layout
+        # to numpy's own companion matrix and root finder
+        rng = np.random.default_rng(5)
+        for degree in (2, 3, 7):
+            for _ in range(20):
+                c = rng.normal(size=degree + 1)
+                np.testing.assert_array_equal(_companions(c), npp.polycompanion(c))
+                np.testing.assert_array_equal(
+                    np.sort(np.linalg.eigvals(_companions(c))), npp.polyroots(c)
+                )
+        stack = rng.normal(size=(50, 3))
+        np.testing.assert_array_equal(
+            _companions(stack), np.array([npp.polycompanion(c) for c in stack])
+        )
+
+    @pytest.mark.parametrize("method", ["closed-form", "truncation"])
+    def test_an_axis_equals_its_points(self, method):
+        p = next(random_points(13, 1))
+        values = np.linspace(0.2, 0.8, 7)
+        axis = n1_levels(p, method, "beta", values)
+        for i, beta in enumerate(values):
+            point = n1_levels(dataclasses.replace(p, beta=float(beta)), method)
+            for name in ("discriminant", "present", "spectral", "energy", "termination_defect"):
+                np.testing.assert_array_equal(getattr(axis, name)[i], getattr(point, name)[0])
+
+    @pytest.mark.parametrize("method", ["closed-form", "truncation"])
+    def test_faults_are_where_the_one_point_routes_raise(self, method):
+        one_point = ground_state_closed_form if method == "closed-form" else (
+            lambda q: truncation_solve(q, 1))
+        for field, values in [("beta", [0.5, 1e-60, 1e-80, 1e-170]), ("flux", [0.75, 1e160])]:
+            fault = n1_levels(P_OSC, method, field, values).fault
+            assert fault.tolist() == [False] + [True] * (len(values) - 1)
+            for value in values[1:]:
+                with pytest.raises((TruncationError, OverflowError)):
+                    one_point(dataclasses.replace(P_OSC, **{field: value}))
+        # the scalar route's own error where a square overflows: Python's float **
+        with pytest.raises(OverflowError, match="Numerical result out of range"):
+            one_point(dataclasses.replace(P_OSC, flux=1e160))

@@ -1,18 +1,31 @@
 import dataclasses
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
+from sweep_golden import GOLDEN_PATH
+from sweep_golden import INV as GOLDEN_INV
+from sweep_golden import cases as golden_cases
 
 from screwspec import (
     InvalidParameterError,
     Model,
+    NegativeFluxWarning,
     PhysicalParams,
     SweepSpec,
+    ground_state_closed_form,
+    lambda_polynomials,
     rows_to_csv,
     rows_to_json,
     sweep_rows,
     sweep_values,
+    truncation_solve,
 )
+from screwspec.spectrum import TruncationError
+
+GOLDEN_CASES = golden_cases()
 
 BASE = PhysicalParams(
     model=Model.OSCILLATOR,
@@ -115,17 +128,6 @@ class TestRows:
                 assert r.termination_defect is not None
                 assert r.termination_defect >= 0.0
 
-    def test_jobs_do_not_change_output(self):
-        spec = SweepSpec(parameter="Omega", start=-1.0, stop=1.0, steps=7)
-        serial = rows_to_csv(sweep_rows(BASE, spec, jobs=1))
-        parallel = rows_to_csv(sweep_rows(BASE, spec, jobs=4))
-        assert serial == parallel
-
-    def test_jobs_validation(self):
-        spec = SweepSpec(parameter="Omega", start=-1.0, stop=1.0, steps=2)
-        with pytest.raises(InvalidParameterError, match="jobs"):
-            sweep_rows(BASE, spec, jobs=0)
-
 
 class TestSerialisation:
     def test_csv_header_and_precision(self):
@@ -162,3 +164,124 @@ class TestSerialisation:
         assert len(data) == len(rows)
         assert data[0]["branch"] == "minus"
         assert data[0]["energy"] == rows[0].energy
+
+
+class TestGolden:
+    """Sweep bytes against ``data/sweep_golden.json`` (see ``sweep_golden.py``)."""
+
+    GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+    @staticmethod
+    def c2_discriminant(base, spec, value):
+        q = dataclasses.replace(
+            base, **{spec.parameter: int(value) if spec.parameter == "ell" else value}
+        )
+        c0, c1, c2 = (float(v) for v in lambda_polynomials(q, 2).entry(2))
+        return c1 * c1 - 4.0 * c2 * c0
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_bytes_match_the_recording(self, name):
+        # The recording left the discriminant of truncation rows with no
+        # real root empty; those cells must now hold the c_2 discriminant.
+        # Every other cell must be byte-identical.
+        base, spec = GOLDEN_CASES[name]
+        golden = self.GOLDEN[name]
+        rows = sweep_rows(base, spec)
+        want_lines = [golden["csv"][0]]
+        want_json = golden["json"]
+        for line, record in zip(golden["csv"][1:], want_json):
+            cells = line.split(",")
+            if cells[5] == "":
+                assert spec.method == "truncation" and cells[3] == ""
+                disc = self.c2_discriminant(base, spec, record["param_value"])
+                cells[5] = f"{disc:.17g}"
+                record["discriminant"] = disc
+            want_lines.append(",".join(cells))
+        assert rows_to_csv(rows) == "\n".join(want_lines) + "\n"
+        assert rows_to_json(rows) == json.dumps(want_json, indent=2)
+
+    def test_recording_covers_gaps_and_filters(self):
+        gaps = {name: sum(r["energy"] is None for r in case["json"])
+                for name, case in self.GOLDEN.items()}
+        for method in ("closed-form", "truncation"):
+            for model in ("oscillator", "inverse-square"):
+                assert gaps[f"{model}:flux:{method}"] > 0
+        assert {spec.branch for _, spec in GOLDEN_CASES.values()} == {"all", "minus", "plus"}
+
+
+class TestTruncationGapRows:
+    def test_gap_rows_carry_the_c2_discriminant(self):
+        # inverse square: c_2 has complex roots for |iota| below ~1.14
+        spec = SweepSpec(parameter="flux", start=1.0, stop=4.0, steps=31,
+                         method="truncation")
+        rows = sweep_rows(GOLDEN_INV, spec)
+        gaps = [r for r in rows if r.energy is None]
+        assert gaps
+        for r in rows:
+            assert r.discriminant == TestGolden.c2_discriminant(GOLDEN_INV, spec, r.param_value)
+            assert (r.discriminant < 0) == (r.energy is None)
+
+
+class TestValidationParity:
+    """Invalid values stop a sweep with the error a point-by-point sweep raised."""
+
+    @pytest.mark.parametrize("method", ["closed-form", "truncation"])
+    @pytest.mark.parametrize(
+        "base, parameter, start, stop, steps, message",
+        [
+            (BASE, "beta", 0.5, 1.5, 5, "beta must lie in the open interval (0, 1): got 1.0"),
+            (BASE, "omega0", 1.0, -1.0, 5,
+             "omega0 must be positive for the oscillator model: got 0.0"),
+            (BASE, "gamma", 0.5, -0.5, 5, "gamma must be non-negative: got -0.25"),
+            (GOLDEN_INV, "omega0", 0.0, 1.0, 3,
+             "omega0 must be zero for the inverse-square model: got 0.5"),
+            (GOLDEN_INV, "beta", 0.9, 1.1, 3,
+             "beta must lie in the open interval (0, 1): got 1.0"),
+            (BASE, "k", 1.0, -1.0, 5, "k must be positive: got 0.0"),
+            (BASE, "flux", 0.0, math.inf, 3, "flux must be finite: got nan"),
+            (BASE, "Omega", 0.0, math.nan, 3, "Omega must be finite: got nan"),
+        ],
+    )
+    def test_first_invalid_value_raises(self, base, parameter, start, stop, steps, message,
+                                        method):
+        spec = SweepSpec(parameter, start, stop, steps, method=method)
+        with pytest.raises(InvalidParameterError) as exc:
+            sweep_rows(base, spec)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("method", ["closed-form", "truncation"])
+    def test_numerical_failure_raises_the_one_point_error(self, method):
+        # beta: the polynomial table loses its degree; flux: iota**2 overflows
+        for parameter, start, stop in [("beta", 0.5, 1e-170), ("flux", 0.0, 1e160)]:
+            spec = SweepSpec(parameter, start, stop, 3, method=method)
+            want = None
+            for value in sweep_values(spec):
+                q = dataclasses.replace(BASE, **{parameter: value})
+                try:
+                    if method == "closed-form":
+                        ground_state_closed_form(q)
+                    else:
+                        truncation_solve(q, 1)
+                except (TruncationError, OverflowError) as exc:
+                    want = exc
+                    break
+            assert want is not None
+            with pytest.raises(type(want)) as got:
+                sweep_rows(BASE, spec)
+            assert str(got.value) == str(want)
+
+    def test_negative_flux_still_warns(self):
+        spec = SweepSpec(parameter="flux", start=-0.5, stop=0.5, steps=5)
+        with pytest.warns(NegativeFluxWarning, match="flux = -0.5 is negative"):
+            rows = sweep_rows(BASE, spec)
+        assert len(rows) == 10
+        spec = SweepSpec(parameter="flux", start=0.5, stop=-0.5, steps=5)
+        with pytest.warns(NegativeFluxWarning, match="flux = -0.25 is negative"):
+            sweep_rows(BASE, spec)
+
+    def test_negative_base_flux_warns_in_any_sweep(self):
+        with pytest.warns(NegativeFluxWarning, match="flux = -0.25 is negative"):
+            p = dataclasses.replace(BASE, flux=-0.25)
+        spec = SweepSpec(parameter="Omega", start=0.0, stop=1.0, steps=3)
+        with pytest.warns(NegativeFluxWarning, match="flux = -0.25 is negative"):
+            sweep_rows(p, spec)
