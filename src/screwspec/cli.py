@@ -15,6 +15,7 @@ never a stack trace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -204,24 +205,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.mode == "core" and args.rmax is not None:
+        _error_json("invalid-input", "--rmax does not apply to the core grid; it ends at beta")
+        return 1
     p = _params_from(args)
     modes = list(GridMode) if args.mode == "all" else [GridMode(args.mode)]
     results = []
     for mode in modes:
-        grid = GridSpec.default(mode, p, args.points)
         overrides: dict[str, float] = {}
         if args.rmin is not None:
             overrides["r_min"] = args.rmin
         if args.rmax is not None and mode is not GridMode.CORE:
             overrides["r_max"] = args.rmax
-        if overrides or args.no_match:
-            grid = GridSpec(
-                mode=mode,
-                r_min=overrides.get("r_min", grid.r_min),
-                r_max=overrides.get("r_max", grid.r_max),
-                n_points=args.points,
-                match_singularity=not args.no_match,
-            )
+        grid = dataclasses.replace(GridSpec.default(mode, p, args.points), **overrides)
         results.append(
             oracle_eigenvalues(p, grid, args.neigs, residual_tol=args.residual_tol)
         )
@@ -329,11 +325,6 @@ def build_parser() -> _Parser:
     oracle.add_argument("--rmin", type=float, default=None)
     oracle.add_argument("--rmax", type=float, default=None)
     oracle.add_argument("--neigs", type=int, default=5)
-    oracle.add_argument(
-        "--no-match",
-        action="store_true",
-        help="use the naive sampled diagonal near r = 0 (audit variant)",
-    )
     oracle.add_argument("--residual-tol", type=float, default=1e-6)
     oracle.add_argument(
         "--report",
@@ -343,8 +334,8 @@ def build_parser() -> _Parser:
     oracle.set_defaults(func=_cmd_oracle)
 
     verify = sub.add_parser("verify", help="run the named check suite")
-    _add_common(verify)
-    _add_format(verify, "text")
+    verify.add_argument("--out", default="-", help="output path, or - for stdout")
+    verify.add_argument("--format", choices=["text", "json"], default="text")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     verify.add_argument("--fast", action="store_true", help="shrink random draw counts")
     verify.set_defaults(func=_cmd_verify)

@@ -16,9 +16,9 @@ critical value -1/4 a naive diagonal converges only like 1/log(h).  The
 default grids therefore start exactly at r = 0 and replace the c0 / r^2
 samples by a matched diagonal that annihilates the exact power r^nu,
 nu = 1/2 + sqrt(c0 + 1/4), restoring clean O(h^2) convergence in every
-channel.  ``match_singularity=False`` keeps the naive diagonal available
-for audit; the flat-model validation check documents its failure in the
-critical channel.
+channel.  Whether a grid gets the matched diagonal follows from the grid
+alone: flat and core grids that start at r = 0 do, every other grid
+samples U directly.
 
 Each eigenpair is back-substituted into the first-derivative form of the
 radial equation and the normalised residual is measured on the interior
@@ -99,15 +99,15 @@ class OracleAccuracyError(RuntimeError):
 class GridSpec:
     """Uniform Dirichlet grid: n_points interior nodes on (r_min, r_max).
 
-    ``match_singularity`` only has an effect when ``r_min == 0`` (flat
-    and core modes); elsewhere the plain sampled diagonal is used.
+    Flat and core grids with ``r_min == 0`` use the matched diagonal at
+    the r = 0 singularity; every other grid uses the plain sampled
+    diagonal.
     """
 
     mode: GridMode
     r_min: float
     r_max: float
     n_points: int = DEFAULT_POINTS
-    match_singularity: bool = True
 
     def __post_init__(self) -> None:
         if self.n_points < 64:
@@ -204,12 +204,7 @@ def _assemble(p: PhysicalParams, grid: GridSpec) -> tuple[np.ndarray, float, np.
     h = (grid.r_max - grid.r_min) / (n + 1)
     idx = np.arange(1, n + 1, dtype=float)
     r = grid.r_min + idx * h
-    matched = (
-        grid.match_singularity
-        and grid.r_min == 0.0
-        and grid.mode in (GridMode.FLAT, GridMode.CORE)
-    )
-    if matched:
+    if grid.r_min == 0.0 and grid.mode in (GridMode.FLAT, GridMode.CORE):
         c0 = _singular_coefficient(p, grid.mode)
         nu = 0.5 + math.sqrt(c0 + 0.25)
         up = (idx + 1.0) ** nu

@@ -24,11 +24,9 @@ absent c_{-1}, and d1(-1)/d3(-1) reproduces c_1), which pins the index
 convention.  For the inverse-square model omega = 0 and the identical
 code path applies.
 
-An alternate denominator, d3(i) = (i + 3/2 + j)(i + 2), is retained
-behind the ``variant`` flag purely for auditing: it fails the
-operator-residual check (``series_residual`` reports O(1) instead of
-~1e-12) and is inconsistent with the seed row above, so ``"consistent"``
-is the default everywhere.
+The alternate denominator d3(i) = (i + 3/2 + j)(i + 2) is inconsistent
+with the seed row above; it lives only in the ``verify`` audit, which
+measures its O(1) operator residual.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +47,6 @@ from .params import (
 )
 
 __all__ = [
-    "Variant",
     "RecurrenceTriple",
     "SeriesSolution",
     "ResidualReport",
@@ -63,8 +60,6 @@ __all__ = [
     "changeofvar_consistency",
     "coefficients_csv",
 ]
-
-Variant = Literal["consistent", "alternate"]
 
 OVERFLOW_LIMIT = 1e300
 
@@ -122,13 +117,8 @@ class ResidualReport:
     n_terms: int
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in ("consistent", "alternate"):
-        raise ValueError(f"variant must be 'consistent' or 'alternate': got {variant!r}")
-
-
 def _triple(
-    i: int, iota: float, j: float, omega: float, scaled: float, variant: Variant
+    i: int, iota: float, j: float, omega: float, scaled: float
 ) -> tuple[float, float, float]:
     """Recurrence factors on bare numbers; ``scaled`` is spectral * beta^2.
 
@@ -138,10 +128,7 @@ def _triple(
         iota**2 + scaled - 0.5 - j - 2.0 * omega * (1.0 + j)
     ) / 4.0
     d2 = -omega * i + (scaled - omega * (3.0 + 2.0 * j)) / 4.0
-    if variant == "consistent":
-        d3 = (i + 2.0 + j) * (i + 2.0)
-    else:
-        d3 = (i + 1.5 + j) * (i + 2.0)
+    d3 = (i + 2.0 + j) * (i + 2.0)
     return d1, d2, d3
 
 
@@ -150,35 +137,25 @@ def _seed(iota: float, j: float, omega: float, scaled: float) -> float:
 
 
 def recurrence_triple(
-    i: int,
-    p: PhysicalParams,
-    spectral: SpectralParameter,
-    *,
-    variant: Variant = "consistent",
+    i: int, p: PhysicalParams, spectral: SpectralParameter
 ) -> RecurrenceTriple:
     """Factors (d1, d2, d3) of ``c_{i+2} = (d1 c_{i+1} + d2 c_i)/d3`` at index i >= 0."""
-    _check_variant(variant)
     if i < 0:
         raise ValueError(f"recurrence index must be >= 0: got {i}")
     d = derive_params(p)
     scaled = spectral.value * p.beta**2
-    d1, d2, d3 = _triple(i, d.iota, d.j, d.omega, scaled, variant)
+    d1, d2, d3 = _triple(i, d.iota, d.j, d.omega, scaled)
     return RecurrenceTriple(d1=d1, d2=d2, d3=d3)
 
 
 def series_coefficients(
-    p: PhysicalParams,
-    spectral: SpectralParameter,
-    n_terms: int,
-    *,
-    variant: Variant = "consistent",
+    p: PhysicalParams, spectral: SpectralParameter, n_terms: int
 ) -> SeriesSolution:
     """Coefficients c_0 .. c_{n_terms} of the series solution.
 
     Raises :class:`SeriesOverflowError` if a coefficient leaves the
     representable range before ``n_terms`` is reached.
     """
-    _check_variant(variant)
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1: got {n_terms}")
     if spectral.model is not p.model:
@@ -193,7 +170,7 @@ def series_coefficients(
     c[1] = _seed(d.iota, d.j, d.omega, scaled)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_terms - 1):
-            d1, d2, d3 = _triple(i, d.iota, d.j, d.omega, scaled, variant)
+            d1, d2, d3 = _triple(i, d.iota, d.j, d.omega, scaled)
             nxt = (d1 * c[i + 1] + d2 * c[i]) / d3
             if not math.isfinite(nxt) or abs(nxt) > OVERFLOW_LIMIT:
                 raise SeriesOverflowError(i + 2)

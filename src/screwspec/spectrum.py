@@ -49,7 +49,7 @@ from .params import (
     derive_params,
     spectral_to_energy,
 )
-from .series import SeriesSolution, Variant, _check_variant, _seed, _triple
+from .series import SeriesSolution, _seed, _triple
 
 __all__ = [
     "Branch",
@@ -138,7 +138,6 @@ class LambdaPolynomialTable:
     """
 
     params: PhysicalParams
-    variant: Variant
     entries: tuple[np.ndarray, ...]
 
     @property
@@ -153,16 +152,13 @@ class LambdaPolynomialTable:
         return float(npp.polyval(spectral_value, self.entries[i]))
 
 
-def lambda_polynomials(
-    p: PhysicalParams, n_max: int, *, variant: Variant = "consistent"
-) -> LambdaPolynomialTable:
+def lambda_polynomials(p: PhysicalParams, n_max: int) -> LambdaPolynomialTable:
     """Build c_0 .. c_{n_max} as exact polynomials in the spectral parameter.
 
     The recurrence factors d1 and d2 are affine in the scaled parameter
     P = spectral * beta^2, so each c_i is a polynomial of degree i; the
     recurrence is run once on coefficient arrays instead of numbers.
     """
-    _check_variant(variant)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1: got {n_max}")
     d = derive_params(p)
@@ -177,7 +173,7 @@ def lambda_polynomials(
         )
     )
     for i in range(n_max - 1):
-        d1_const, d2_const, d3 = _triple(i, iota, j, omega, 0.0, variant)
+        d1_const, d2_const, d3 = _triple(i, iota, j, omega, 0.0)
         d1 = np.array([d1_const, -b2 / 4.0])
         d2 = np.array([d2_const, b2 / 4.0])
         nxt = npp.polyadd(npp.polymul(d1, entries[i + 1]), npp.polymul(d2, entries[i]))
@@ -185,7 +181,7 @@ def lambda_polynomials(
     for i, e in enumerate(entries):
         if len(e) != i + 1:
             raise TruncationError(f"degree of c_{i} is {len(e) - 1}, expected {i}")
-    return LambdaPolynomialTable(params=p, variant=variant, entries=tuple(entries))
+    return LambdaPolynomialTable(params=p, entries=tuple(entries))
 
 
 def _companions(coeffs: np.ndarray) -> np.ndarray:
@@ -268,9 +264,7 @@ def _level_from_spectral(
     )
 
 
-def truncation_solve(
-    p: PhysicalParams, n: int, *, variant: Variant = "consistent"
-) -> list[EnergyLevel]:
+def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
     """Levels from the order-n truncation condition c_{n+1}(spectral) = 0.
 
     Returns at most n + 1 levels sorted by spectral value (possibly an
@@ -281,7 +275,7 @@ def truncation_solve(
     """
     if n < 1:
         raise ValueError(f"truncation order must be >= 1: got {n}")
-    table = lambda_polynomials(p, n + 2, variant=variant)
+    table = lambda_polynomials(p, n + 2)
     roots = _real_roots(table.entry(n + 1))
     if len(roots) > n + 1:
         raise TruncationError(f"{len(roots)} roots from a degree-{n + 1} polynomial")
@@ -662,9 +656,7 @@ def ground_state_wavefunction(p: PhysicalParams, branch: Branch) -> Wavefunction
     )
 
 
-def level_series(
-    p: PhysicalParams, level: EnergyLevel, *, variant: Variant = "consistent"
-) -> SeriesSolution:
+def level_series(p: PhysicalParams, level: EnergyLevel) -> SeriesSolution:
     """Terminating series attached to a truncation level.
 
     Coefficients c_0 .. c_n are the polynomial-table values at the
@@ -672,7 +664,7 @@ def level_series(
     order (the level's ``termination_defect`` records how much that
     drops).
     """
-    table = lambda_polynomials(p, level.n, variant=variant)
+    table = lambda_polynomials(p, level.n)
     d = derive_params(p)
     coeffs = np.array([table.eval(i, level.spectral) for i in range(level.n + 1)])
     return SeriesSolution(
@@ -737,18 +729,16 @@ class ClosedFormComparison:
         return "\n".join(lines)
 
 
-def compare_closed_form_vs_truncation(
-    p: PhysicalParams, *, variant: Variant = "consistent"
-) -> ClosedFormComparison:
+def compare_closed_form_vs_truncation(p: PhysicalParams) -> ClosedFormComparison:
     """Measure whether the analytic n = 1 pair solves the truncation quadratic.
 
     Pure audit: nothing here fails, the result records AGREE or
     DISCREPANT-DOCUMENTED per branch (tolerance 1e-8 relative).
     """
-    table = lambda_polynomials(p, 2, variant=variant)
+    table = lambda_polynomials(p, 2)
     asc = table.entry(2)
     quadratic = (float(asc[2]), float(asc[1]), float(asc[0]))
-    trunc = tuple(truncation_solve(p, 1, variant=variant))
+    trunc = tuple(truncation_solve(p, 1))
     closed: tuple[EnergyLevel, ...] = ()
     reason = None
     try:

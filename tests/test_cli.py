@@ -166,6 +166,9 @@ class TestPerCommandFlags:
             ("oracle", ["--jobs", "2"]),
             ("verify", ["--jobs", "2"]),
             ("wavefunction", ["--jobs", "2"]),
+            ("verify", ["--omega0", "5"]),
+            ("verify", ["--model", "inverse-square"]),
+            ("oracle", ["--no-match"]),
         ],
     )
     def test_unread_flag_is_exit_1(self, capsys, command, flag):
@@ -177,6 +180,14 @@ class TestPerCommandFlags:
         payload = json.loads(err)
         assert payload["error"] == "invalid-input"
         assert f"unrecognized arguments: {' '.join(flag)}" in payload["message"]
+
+    def test_verify_format_is_text_or_json(self, capsys):
+        code, out, err = run(["verify", "--fast", "--format", "csv"], capsys)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert "invalid choice: 'csv'" in payload["message"]
 
     def test_verify_reads_seed(self, capsys):
         code, out, _ = run(["verify", "--fast", "--seed", "3", "--format", "json"], capsys)
@@ -246,6 +257,27 @@ class TestOracle:
         )
         assert code == 0
         assert len(out.splitlines()) == 6
+
+    def test_rmax_on_core_grid_is_exit_1(self, capsys):
+        code, out, err = run(
+            ["oracle", *OSC_ARGS, "--mode", "core", "--rmax", "5"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert "--rmax" in payload["message"]
+
+    def test_rmax_reaches_outer_and_flat_grids_only(self, capsys):
+        code, out, _ = run(
+            ["oracle", *OSC_ARGS, "--points", "2000", "--neigs", "1",
+             "--residual-tol", "1e-3", "--rmax", "5"],
+            capsys,
+        )
+        assert code == 0
+        r_max = {line.split(",")[0]: line.split(",")[-1] for line in out.splitlines()[1:]}
+        assert float(r_max["outer"]) == float(r_max["flat"]) == 5.0
+        assert float(r_max["core"]) < P_OSC.beta
 
     def test_outer_rmin_below_beta_is_exit_1(self, capsys):
         code, _, err = run(
@@ -340,13 +372,14 @@ class TestVerify:
 
         original = series_mod._triple
 
-        def tampered(i, iota, j, omega, scaled, variant):
-            d1, d2, d3 = original(i, iota, j, omega, scaled, variant)
+        def tampered(i, iota, j, omega, scaled):
+            d1, d2, d3 = original(i, iota, j, omega, scaled)
             return d1, -d2, d3
 
         monkeypatch.setattr(series_mod, "_triple", tampered)
         report = run_verification(fast=True)
         assert report.check("series-residual").status == "FAIL"
+        assert report.check("series-residual").measured is not None
         assert report.overall_pass is False
 
     def test_tampered_recurrence_is_exit_1(self, capsys, monkeypatch):
@@ -354,11 +387,14 @@ class TestVerify:
 
         original = series_mod._triple
 
-        def tampered(i, iota, j, omega, scaled, variant):
-            d1, d2, d3 = original(i, iota, j, omega, scaled, variant)
+        def tampered(i, iota, j, omega, scaled):
+            d1, d2, d3 = original(i, iota, j, omega, scaled)
             return d1, -d2, d3
 
         monkeypatch.setattr(series_mod, "_triple", tampered)
-        code, out, _ = run(["verify", "--fast"], capsys)
+        code, out, _ = run(["verify", "--fast", "--format", "json"], capsys)
         assert code == 1
         assert "FAIL" in out
+        check = {c["name"]: c for c in json.loads(out)["checks"]}["series-residual"]
+        assert check["status"] == "FAIL"
+        assert check["measured"] is not None

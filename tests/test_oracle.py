@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from screwspec import (
     GridMode,
@@ -145,15 +146,14 @@ class TestEigenvalues:
         # converges only logarithmically; the matched diagonal is not a
         # cosmetic choice.  Kept as a pinned record of the failure mode.
         p = flat_critical()
-        grid = GridSpec(
-            mode=GridMode.FLAT,
-            r_min=0.0,
-            r_max=10.0,
-            n_points=4000,
-            match_singularity=False,
+        n = 4000
+        h = 10.0 / (n + 1)
+        r = np.arange(1, n + 1) * h
+        diag = 2.0 / h**2 + effective_potential(p, GridMode.FLAT, r)
+        lowest = eigh_tridiagonal(
+            diag, np.full(n - 1, -1.0 / h**2), eigvals_only=True, select="i", select_range=(0, 0)
         )
-        res = oracle_eigenvalues(p, grid, residual_tol=None)
-        rel = abs(res.eigenvalues[0] - 2.0) / 2.0
+        rel = abs(lowest[0] - 2.0) / 2.0
         assert rel > 0.05
 
     def test_coarse_grid_trips_the_gate(self):

@@ -18,6 +18,7 @@ from screwspec import (
     series_residual,
 )
 from screwspec.series import _seed, _triple
+from screwspec.verify import _alternate_coefficients
 
 # Oscillator set used throughout: iota = 1, omega = 1/2, j = 1/2.
 P_OSC = PhysicalParams(
@@ -44,10 +45,17 @@ class TestRecurrence:
     def test_factors_at_zero_coupling(self):
         # iota = 0, j = 1/2, omega = 0, spectral = 0:
         # d1 = 2 - (-1)/4, d2 = 0, d3 = 2.5 * 2.
-        assert _triple(0, 0.0, 0.5, 0.0, 0.0, "consistent") == (2.25, 0.0, 5.0)
+        assert _triple(0, 0.0, 0.5, 0.0, 0.0) == (2.25, 0.0, 5.0)
 
     def test_alternate_denominator_differs(self):
-        d1, d2, d3 = _triple(0, 0.0, 0.5, 0.0, 0.0, "alternate")
+        # the verify audit's series at iota = 0, j = 1/2, omega = 0,
+        # spectral = 0: c_2 = (d1 c_1 + d2 c_0) / d3 with the same d1, d2
+        p = PhysicalParams(
+            model=Model.INVERSE_SQUARE, mass=1.0, beta=0.5, k=1.0, ell=1, flux=0.5
+        )
+        c = _alternate_coefficients(p, spectral(p, 0.0), 2).coeffs
+        d1, d2, _ = _triple(0, 0.0, 0.5, 0.0, 0.0)
+        d3 = (d1 * c[1] + d2 * c[0]) / c[2]
         assert (d1, d2) == (2.25, 0.0)
         assert d3 == 4.0
 
@@ -71,7 +79,7 @@ class TestRecurrence:
             j = rng.uniform(0.5, 2.0)
             omega = rng.uniform(0.0, 2.0)
             scaled = rng.uniform(-5, 5)
-            d1, _, d3 = _triple(-1, iota, j, omega, scaled, "consistent")
+            d1, _, d3 = _triple(-1, iota, j, omega, scaled)
             assert d1 / d3 == pytest.approx(
                 _seed(iota, j, omega, scaled), rel=1e-13
             )
@@ -186,7 +194,7 @@ class TestResidual:
 
     def test_alternate_denominator_fails_the_equation(self):
         s = spectral(P_OSC, 3.7)
-        sol = series_coefficients(P_OSC, s, 200, variant="alternate")
+        sol = _alternate_coefficients(P_OSC, s, 200)
         rep = series_residual(sol, P_OSC, s, (0.1, 0.3, 0.5))
         assert rep.max_residual > 1e-3
 
