@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -243,8 +244,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
     p = _params_from(args)
-    if args.xmax <= 0:
-        _error_json("invalid-input", f"xmax must be positive: got {args.xmax}")
+    if not 0.0 < args.xmax < math.inf:
+        _error_json("invalid-input", f"xmax must be positive and finite: got {args.xmax}")
         return 1
     if args.samples < 1:
         _error_json("invalid-input", f"samples must be >= 1: got {args.samples}")

@@ -114,9 +114,9 @@ class GridSpec:
             raise InvalidParameterError(
                 f"n_points must be at least 64: got {self.n_points}"
             )
-        if not self.r_max > self.r_min >= 0.0:
+        if not 0.0 <= self.r_min < self.r_max < math.inf:
             raise InvalidParameterError(
-                f"need r_max > r_min >= 0: got ({self.r_min}, {self.r_max})"
+                f"need finite r_max > r_min >= 0: got ({self.r_min}, {self.r_max})"
             )
 
     @staticmethod
@@ -157,7 +157,6 @@ class OracleResult:
 
 def _singular_coefficient(p: PhysicalParams, mode: GridMode) -> float:
     """Coefficient c0 of the r -> 0 singularity c0 / r^2 of U."""
-    d = derive_params(p)
     if mode is GridMode.FLAT:
         iota_flat = p.ell - p.flux
         return iota_flat**2 + 2.0 * p.mass * p.gamma - 0.25
@@ -282,8 +281,11 @@ def oracle_eigenvalues(
 
     Raises :class:`OracleAccuracyError` when any back-substitution
     residual exceeds ``residual_tol`` (pass None to skip the gate, e.g.
-    for deliberate coarse-grid convergence studies).
+    for deliberate coarse-grid convergence studies).  A tolerance that is
+    NaN, zero or negative is rejected with :class:`InvalidParameterError`.
     """
+    if residual_tol is not None and not residual_tol > 0.0:
+        raise InvalidParameterError(f"residual_tol must be positive: got {residual_tol}")
     if n_eigs < 1:
         raise InvalidParameterError(f"n_eigs must be >= 1: got {n_eigs}")
     if n_eigs > grid.n_points // 4:

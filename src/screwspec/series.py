@@ -118,14 +118,15 @@ class ResidualReport:
 
 
 def _triple(
-    i: int, iota: float, j: float, omega: float, scaled: float
+    i: int, iota2: float, j: float, omega: float, scaled: float
 ) -> tuple[float, float, float]:
-    """Recurrence factors on bare numbers; ``scaled`` is spectral * beta^2.
+    """Recurrence factors on bare numbers or numpy arrays, elementwise.
 
-    Accepts ``i = -1`` so the seed row can be audited directly.
+    ``iota2`` is iota^2 and ``scaled`` is spectral * beta^2.  Accepts
+    ``i = -1`` so the seed row can be audited directly.
     """
     d1 = (i + omega + 1.5 + j) * (i + 1) - (
-        iota**2 + scaled - 0.5 - j - 2.0 * omega * (1.0 + j)
+        iota2 + scaled - 0.5 - j - 2.0 * omega * (1.0 + j)
     ) / 4.0
     d2 = -omega * i + (scaled - omega * (3.0 + 2.0 * j)) / 4.0
     d3 = (i + 2.0 + j) * (i + 2.0)
@@ -144,7 +145,7 @@ def recurrence_triple(
         raise ValueError(f"recurrence index must be >= 0: got {i}")
     d = derive_params(p)
     scaled = spectral.value * p.beta**2
-    d1, d2, d3 = _triple(i, d.iota, d.j, d.omega, scaled)
+    d1, d2, d3 = _triple(i, d.iota**2, d.j, d.omega, scaled)
     return RecurrenceTriple(d1=d1, d2=d2, d3=d3)
 
 
@@ -170,7 +171,7 @@ def series_coefficients(
     c[1] = _seed(d.iota, d.j, d.omega, scaled)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_terms - 1):
-            d1, d2, d3 = _triple(i, d.iota, d.j, d.omega, scaled)
+            d1, d2, d3 = _triple(i, d.iota**2, d.j, d.omega, scaled)
             nxt = (d1 * c[i + 1] + d2 * c[i]) / d3
             if not math.isfinite(nxt) or abs(nxt) > OVERFLOW_LIMIT:
                 raise SeriesOverflowError(i + 2)

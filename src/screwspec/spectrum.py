@@ -23,6 +23,16 @@ evaluates a whole parameter axis at once (sweeps use it, and
 :func:`ground_state_closed_form` is the kernel at one point).  Its
 truncation roots are bit for bit those of :func:`truncation_solve`.
 
+The table of c_i as polynomials in the spectral parameter has one
+definition, the plain recurrence ``_table``: it runs on Python floats at
+one point (:func:`lambda_polynomials`, which raises where the top
+coefficient underflows) and on numpy arrays along an axis (the kernel,
+which masks those points), and every level's diagnostics come from one
+helper, ``_diagnostics``.  Polynomials are evaluated by Horner's rule;
+no route goes through ``numpy.polynomial``.  The root loops stay apart:
+:func:`truncation_solve` polishes each root on its own, which is faster
+at one point, and the kernel polishes every candidate of the axis at once.
+
 The ground-state series seed c_1 has its own closed form per branch;
 :func:`ground_state_wavefunction` cross-checks it against the recurrence
 seed formula, evaluated with the analytic route's rate at the
@@ -40,7 +50,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .params import (
     Model,
@@ -129,6 +138,23 @@ class EnergyLevel:
     c1_over_c0: float
 
 
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x**2`` through libm ``pow``, rounded as Python's float ``**`` rounds it.
+
+    numpy computes an array ``x**2`` as ``x*x``, which differs in the last
+    bit for a few inputs per thousand.
+    """
+    return np.float_power(x, 2.0)
+
+
+def _horner(coeffs: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Ascending coefficients evaluated at x, step for step as ``npp.polyval``."""
+    value = coeffs[-1] + x * 0.0
+    for c in coeffs[-2::-1]:
+        value = c + value * x
+    return value
+
+
 @dataclass(frozen=True)
 class LambdaPolynomialTable:
     """Series coefficients as polynomials in the spectral parameter.
@@ -149,7 +175,48 @@ class LambdaPolynomialTable:
 
     def eval(self, i: int, spectral_value: float) -> float:
         """Value of c_i at a numeric spectral parameter."""
-        return float(npp.polyval(spectral_value, self.entries[i]))
+        return float(_horner(self.entries[i], spectral_value))
+
+
+def _table(iota2, j, omega, b2, n_max: int) -> tuple[list[list], bool | np.ndarray]:
+    """c_0 .. c_{n_max} as lists of ascending coefficients in the spectral parameter.
+
+    The recurrence factors of :func:`series._triple` are affine in the
+    spectral parameter (d1 falls and d2 rises by b2/4 per unit), so c_i
+    has degree i.  The inputs, and so the coefficients, are Python floats
+    at one point or numpy arrays along an axis.  Each coefficient of
+    d1 c_{i+1} + d2 c_i is summed as ``np.convolve`` and ``polyadd`` sum
+    it, so the table is bit for bit the ``numpy.polynomial`` one.
+
+    c_i loses its degree where its top coefficient, the slope times the
+    top of c_{i-1}, comes out zero.  At one point that raises
+    :class:`TruncationError`, naming the degree that ``numpy.polynomial``
+    keeps once it trims the trailing zeros; along an axis the second
+    return value marks the points where it happens.
+    """
+    one_j = 1.0 + j
+    slope = b2 / 4.0
+    c1 = [(2.0 * omega * one_j - iota2 + 0.5 + j) / (4.0 * one_j), -b2 / (4.0 * one_j)]
+    table = [[1.0], c1]
+    lost = False
+    for i in range(n_max - 1):
+        d1, d2, d3 = _triple(i, iota2, j, omega, 0.0)
+        a, b = table[i + 1], table[i]
+        total = [d1 * a[0] + d2 * b[0]]
+        total += [
+            d1 * a[k] - slope * a[k - 1] + (d2 * b[k] + slope * b[k - 1]) for k in range(1, i + 1)
+        ]
+        total += [d1 * a[i + 1] - slope * a[i] + slope * b[i], -slope * a[i + 1]]
+        lost_here = total[-1] == 0.0
+        if lost_here is True:  # Python floats: one point
+            # numpy.polynomial keeps up to the last nonzero coefficient; without
+            # a slope both factors are constants, and so is c_2
+            nonzero = [k for k, t in enumerate(total) if t != 0.0]
+            kept = max(nonzero, default=0) if slope != 0.0 else 0
+            raise TruncationError(f"degree of c_{i + 2} is {kept}, expected {i + 2}")
+        lost = lost | lost_here
+        table.append([t / d3 for t in total])
+    return table, lost
 
 
 def lambda_polynomials(p: PhysicalParams, n_max: int) -> LambdaPolynomialTable:
@@ -157,31 +224,15 @@ def lambda_polynomials(p: PhysicalParams, n_max: int) -> LambdaPolynomialTable:
 
     The recurrence factors d1 and d2 are affine in the scaled parameter
     P = spectral * beta^2, so each c_i is a polynomial of degree i; the
-    recurrence is run once on coefficient arrays instead of numbers.
+    recurrence is run once on coefficient lists instead of numbers.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1: got {n_max}")
     d = derive_params(p)
-    iota, j, omega, b2 = d.iota, d.j, d.omega, p.beta**2
-    entries: list[np.ndarray] = [np.array([1.0])]
-    entries.append(
-        np.array(
-            [
-                (2.0 * omega * (1.0 + j) - iota**2 + 0.5 + j) / (4.0 * (1.0 + j)),
-                -b2 / (4.0 * (1.0 + j)),
-            ]
-        )
-    )
-    for i in range(n_max - 1):
-        d1_const, d2_const, d3 = _triple(i, iota, j, omega, 0.0)
-        d1 = np.array([d1_const, -b2 / 4.0])
-        d2 = np.array([d2_const, b2 / 4.0])
-        nxt = npp.polyadd(npp.polymul(d1, entries[i + 1]), npp.polymul(d2, entries[i]))
-        entries.append(nxt / d3)
-    for i, e in enumerate(entries):
-        if len(e) != i + 1:
-            raise TruncationError(f"degree of c_{i} is {len(e) - 1}, expected {i}")
-    return LambdaPolynomialTable(params=p, entries=tuple(entries))
+    table, _ = _table(d.iota**2, d.j, d.omega, p.beta**2, n_max)
+    # a tuple of a list, not of an iterator: CPython resizes the latter, and the
+    # resized tuples pile up on its free lists, raising the peak memory
+    return LambdaPolynomialTable(params=p, entries=tuple([np.array(c) for c in table]))
 
 
 def _companions(coeffs: np.ndarray) -> np.ndarray:
@@ -201,7 +252,7 @@ def _companions(coeffs: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _real_roots(coeffs: np.ndarray) -> list[float]:
+def _real_roots(coeffs: list[float]) -> list[float]:
     """Real roots of an ascending-coefficient polynomial, Newton-polished.
 
     Seeds come from the companion matrix; each near-real candidate is
@@ -213,26 +264,24 @@ def _real_roots(coeffs: np.ndarray) -> list[float]:
             roots = np.linalg.eigvals(_companions(np.asarray(coeffs, dtype=float)))
     except np.linalg.LinAlgError as exc:
         raise TruncationError(f"companion eigenvalues failed: {exc}") from exc
-    deriv = npp.polyder(coeffs)
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    magnitudes = [abs(c) for c in coeffs]
     out: list[float] = []
     for z in roots:
         if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
             continue
         x = float(z.real) + 0.0  # -0.0 -> 0.0, as numpy's root mapping did
         for _ in range(60):
-            fx = float(npp.polyval(x, coeffs))
-            fpx = float(npp.polyval(x, deriv))
+            fpx = _horner(deriv, x)
             if fpx == 0.0:
                 break
-            step = fx / fpx
+            step = _horner(coeffs, x) / fpx
             x -= step
             if abs(step) <= 1e-15 * (1.0 + abs(x)):
                 break
-        scale = float(npp.polyval(abs(x), np.abs(coeffs)))
-        if abs(npp.polyval(x, coeffs)) > ROOT_RESIDUAL_TOL * max(scale, 1e-300):
-            raise TruncationError(
-                f"root polish failed: residual {npp.polyval(x, coeffs):.3e} at x = {x!r}"
-            )
+        residual = _horner(coeffs, x)
+        if abs(residual) > ROOT_RESIDUAL_TOL * max(_horner(magnitudes, abs(x)), 1e-300):
+            raise TruncationError(f"root polish failed: residual {residual:.3e} at x = {x!r}")
         out.append(x)
     out.sort()
     dedup: list[float] = []
@@ -242,26 +291,17 @@ def _real_roots(coeffs: np.ndarray) -> list[float]:
     return dedup
 
 
-def _level_from_spectral(
-    p: PhysicalParams,
-    table: LambdaPolynomialTable,
-    n: int,
-    spectral_value: float,
-    branch: Branch | None,
-    discriminant: float | None,
-) -> EnergyLevel:
-    values = [abs(table.eval(i, spectral_value)) for i in range(n + 2)]
-    defect = abs(table.eval(n + 2, spectral_value)) / max(values)
-    return EnergyLevel(
-        n=n,
-        ell=p.ell,
-        branch=branch,
-        energy=spectral_to_energy(p, spectral_value),
-        spectral=spectral_value,
-        discriminant=discriminant,
-        termination_defect=defect,
-        c1_over_c0=table.eval(1, spectral_value),
-    )
+def _diagnostics(table: Sequence[Sequence], n: int, spectral):
+    """(termination_defect, c1_over_c0) of order-n levels at ``spectral``.
+
+    ``|c_{n+2}| / max(|c_0|, ..., |c_{n+1}|)`` and c_1, from the table of
+    :func:`_table` at one spectral value or at an array of them.  The
+    maximum skips NaN as Python's ``max`` does after a non-NaN first
+    item (|c_0| is NaN only where the spectral value is).
+    """
+    values = [_horner(c, spectral) for c in table[: n + 3]]
+    largest = np.fmax.reduce(np.abs(values[: n + 2]), axis=0)
+    return np.abs(values[n + 2]) / largest, values[1]
 
 
 def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
@@ -275,20 +315,33 @@ def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
     """
     if n < 1:
         raise ValueError(f"truncation order must be >= 1: got {n}")
-    table = lambda_polynomials(p, n + 2)
-    roots = _real_roots(table.entry(n + 1))
+    # Python floats: Horner's rule runs faster on them than on numpy scalars
+    table = [c.tolist() for c in lambda_polynomials(p, n + 2).entries]
+    roots = _real_roots(table[n + 1])
     if len(roots) > n + 1:
         raise TruncationError(f"{len(roots)} roots from a degree-{n + 1} polynomial")
     disc = None
     if n == 1:
-        c0, c1, c2 = (float(v) for v in table.entry(2))
+        c0, c1, c2 = table[2]
         disc = c1 * c1 - 4.0 * c2 * c0
     levels = []
     for idx, root in enumerate(roots):
         branch = None
         if n == 1 and len(roots) == 2:
             branch = Branch.MINUS if idx == 0 else Branch.PLUS
-        levels.append(_level_from_spectral(p, table, n, root, branch, disc))
+        defect, c1_over_c0 = _diagnostics(table, n, root)
+        levels.append(
+            EnergyLevel(
+                n=n,
+                ell=p.ell,
+                branch=branch,
+                energy=spectral_to_energy(p, root),
+                spectral=root,
+                discriminant=disc,
+                termination_defect=float(defect),
+                c1_over_c0=c1_over_c0,
+            )
+        )
     return levels
 
 
@@ -336,76 +389,19 @@ class N1Levels:
     fault: np.ndarray
 
 
-def _square(x: np.ndarray) -> np.ndarray:
-    """``x**2`` through libm ``pow``, rounded as Python's float ``**`` rounds it.
-
-    numpy computes an array ``x**2`` as ``x*x``, which differs in the last
-    bit for a few inputs per thousand.
-    """
-    return np.float_power(x, 2.0)
-
-
-def _horner(coeffs: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Ascending coefficients evaluated at x, step for step as ``npp.polyval``."""
-    value = coeffs[-1] + x * 0.0
-    for c in coeffs[-2::-1]:
-        value = c + value * x
-    return value
-
-
-def _n1_table(
-    iota2: np.ndarray, j: np.ndarray, omega: np.ndarray, b2: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """c_1, c_2, c_3 of :func:`lambda_polynomials` elementwise, and where it fails.
-
-    The operations and their order are those of ``lambda_polynomials``:
-    ``_triple`` at i = 0 and 1, ``np.convolve`` for each product and
-    ``polyadd`` for the sum, so each coefficient is bit for bit the
-    table's.  The returned mask marks points where the table raises
-    because a product underflows to a trailing zero that numpy trims.
-    """
-    one_j = 1.0 + j
-    c1 = [(2.0 * omega * one_j - iota2 + 0.5 + j) / (4.0 * one_j), -b2 / (4.0 * one_j)]
-    slope1, slope2 = -b2 / 4.0, b2 / 4.0  # spectral slopes of d1 and d2
-
-    def consts(i: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        d1 = (i + omega + 1.5 + j) * (i + 1.0) - (
-            iota2 + 0.0 - 0.5 - j - 2.0 * omega * one_j
-        ) / 4.0
-        d2 = -omega * i + (0.0 - omega * (3.0 + 2.0 * j)) / 4.0
-        return d1, d2, (i + 2.0 + j) * (i + 2.0)
-
-    d1, d2, d3 = consts(0.0)
-    top = slope1 * c1[1]
-    c2 = [(d1 * c1[0] + d2) / d3, (d1 * c1[1] + slope1 * c1[0] + slope2) / d3, top / d3]
-    d1, d2, d3 = consts(1.0)
-    top3 = c2[2] * slope1
-    c3 = [
-        (c2[0] * d1 + d2 * c1[0]) / d3,
-        (c2[0] * slope1 + c2[1] * d1 + (d2 * c1[1] + slope2 * c1[0])) / d3,
-        (c2[1] * slope1 + c2[2] * d1 + slope2 * c1[1]) / d3,
-        top3 / d3,
-    ]
-    collapse = (slope1 == 0.0) | (c1[1] == 0.0) | (top == 0.0) | (c2[2] == 0.0) | (top3 == 0.0)
-    return c1, c2, c3, collapse
-
-
 def _polished_roots(
-    c: list[np.ndarray], skip: np.ndarray, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    c: list[np.ndarray], skip: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Real roots of the quadratics ``c``, by the rule of ``_real_roots``.
 
     One ``eigvals`` call on the stack of companion matrices, then the same
     imaginary-part filter, Newton polish, backward-error test and 1e-8
     dedup, run on every candidate at once.  Returns (roots, count, failed):
-    the sorted roots, shape (size, 2), how many of them are real and
+    the sorted roots, shape (N, 2), how many of them are real and
     distinct, and the rows that fail the backward-error test.  Rows in
     ``skip`` are not solved and count as failed.
     """
-    coeffs = np.empty((size, 3))
-    for i, ci in enumerate(c):
-        coeffs[:, i] = ci
-    companion = _companions(coeffs)
+    companion = _companions(np.stack(c, axis=-1))
     skip = skip | ~np.isfinite(companion).all(axis=(1, 2))
     companion[skip] = 0.0
     z = np.linalg.eigvals(companion)
@@ -493,65 +489,42 @@ def n1_levels(
     routes, elementwise, so the results are bit for bit theirs.  The
     values are not validated: that is the caller's job.
     """
-    f = {name: getattr(p, name) for name in _AXIS_FIELDS}
-    size = 1
+    size = 1 if parameter is None else len(values)
+    f = {name: np.full(size, getattr(p, name), dtype=float) for name in _AXIS_FIELDS}
     if parameter is not None:
         f[parameter] = np.asarray(values, dtype=float)
-        size = len(f[parameter])
     mass, k = f["mass"], f["k"]
     with np.errstate(all="ignore"):
         iota, iota2, b2, j = _n1_derived(f)
-        omega = mass * f["omega0"] * b2
-        c1, c2, c3, collapse = _n1_table(iota2, j, omega, b2)
+        table, lost = _table(iota2, j, mass * f["omega0"] * b2, b2, 3)
         fault = np.isinf(iota2) & np.isfinite(iota)
         if method == "closed-form":
             disc, center, overflow = _closed_form_quadratic(p.model, f, iota2, j)
-            fault |= overflow
-            real = ~(disc < 0)
             sq = np.sqrt(disc)
-            roots = ((center - sq) / b2, (center + sq) / b2)
-            count = 2 * real
-            fault |= real & collapse
+            roots = np.array([(center - sq) / b2, (center + sq) / b2])
+            count = 2 * ~(disc < 0)
+            fault |= overflow | ((count > 0) & lost)
         else:
-            disc = c2[1] * c2[1] - 4.0 * c2[2] * c2[0]
-            pairs, count, failed = _polished_roots(c2, collapse | fault, size)
-            roots = (pairs[:, 0], pairs[:, 1])
+            c0, c1, c2 = table[2]
+            disc = c1 * c1 - 4.0 * c2 * c0
+            pairs, count, failed = _polished_roots(table[2], lost | fault)
+            roots = pairs.T
             fault |= failed
         k2 = _square(k)
         fault |= (count > 0) & np.isinf(k2) & np.isfinite(k)
-        count = np.where(fault, 0, count)
-        two_mass, tilt = 2.0 * mass, f["Omega"] * iota
-        columns = []
-        for col, s in enumerate(roots):
-            s = np.where(count > col, s, np.nan)
-            c1_value = _horner(c1, s)
-            # max() of |c_0|, |c_1|, |c_2| as Python takes it (|c_0| is NaN only with s)
-            largest = np.fmax(np.abs(1.0 + s * 0.0), np.abs(c1_value))
-            largest = np.fmax(largest, np.abs(_horner(c2, s)))
-            columns.append(
-                (
-                    s,
-                    (k2 + s) / two_mass + f["delta"] - tilt,
-                    np.abs(_horner(c3, s)) / largest,
-                    c1_value,
-                )
-            )
-
-    def stacked(i: int) -> np.ndarray:
-        out = np.empty((size, 2))
-        out[:, 0], out[:, 1] = columns[0][i], columns[1][i]
-        return out
-
-    present = np.empty((size, 2), dtype=bool)
-    present[:, 0], present[:, 1] = count > 0, count > 1
+        # shape (2, N) until the transposes below: row 0 minus, row 1 plus
+        present = np.arange(2)[:, None] < np.where(fault, 0, count)
+        spectral = np.where(present, roots, np.nan)
+        defect, c1_over_c0 = _diagnostics(table, 1, spectral)
+        energy = (k2 + spectral) / (2.0 * mass) + f["delta"] - f["Omega"] * iota
     return N1Levels(
-        discriminant=np.full(size, disc),
-        present=present,
-        spectral=stacked(0),
-        energy=stacked(1),
-        termination_defect=stacked(2),
-        c1_over_c0=stacked(3),
-        fault=np.full(size, fault),
+        discriminant=disc,
+        present=present.T,
+        spectral=spectral.T,
+        energy=energy.T,
+        termination_defect=defect.T,
+        c1_over_c0=c1_over_c0.T,
+        fault=fault,
     )
 
 

@@ -220,7 +220,7 @@ def _alternate_coefficients(
     c[1] = _seed(d.iota, d.j, d.omega, scaled)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_terms - 1):
-            d1, d2, _ = _triple(i, d.iota, d.j, d.omega, scaled)
+            d1, d2, _ = _triple(i, d.iota**2, d.j, d.omega, scaled)
             nxt = (d1 * c[i + 1] + d2 * c[i]) / ((i + 1.5 + d.j) * (i + 2.0))
             if not math.isfinite(nxt) or abs(nxt) > OVERFLOW_LIMIT:
                 raise SeriesOverflowError(i + 2)

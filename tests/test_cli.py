@@ -279,6 +279,30 @@ class TestOracle:
         assert float(r_max["outer"]) == float(r_max["flat"]) == 5.0
         assert float(r_max["core"]) < P_OSC.beta
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-6"])
+    def test_unusable_residual_tol_is_exit_1(self, capsys, tol):
+        # the flat grid at 100 points fails the default gate (residual ~7e-4);
+        # a NaN tolerance must not wave it through
+        code, out, err = run(
+            ["oracle", "--mode", "flat", "--points", "100", f"--residual-tol={tol}"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert "residual_tol" in payload["message"]
+
+    @pytest.mark.parametrize("mode", ["outer", "flat"])
+    def test_infinite_rmax_is_exit_1(self, capsys, mode):
+        code, out, err = run(
+            ["oracle", *OSC_ARGS, "--mode", mode, "--rmax", "inf"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1  # the JSON error alone, no numpy warnings
+        assert json.loads(err)["error"] == "invalid-input"
+
     def test_outer_rmin_below_beta_is_exit_1(self, capsys):
         code, _, err = run(
             ["oracle", *OSC_ARGS, "--mode", "outer", "--rmin", "0.2"], capsys
@@ -340,6 +364,18 @@ class TestWavefunction:
         assert code == 2
         assert json.loads(err)["error"] == "no-real-level"
 
+    @pytest.mark.parametrize("xmax", ["nan", "inf", "-inf", "0"])
+    def test_xmax_must_be_positive_and_finite(self, capsys, xmax):
+        code, out, err = run(
+            ["wavefunction", *OSC_ARGS, "--method", "truncation", f"--xmax={xmax}"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert "xmax" in payload["message"]
+
     def test_sample_validation(self, capsys):
         code, _, err = run(
             ["wavefunction", *OSC_ARGS, "--samples", "0"], capsys
@@ -372,8 +408,8 @@ class TestVerify:
 
         original = series_mod._triple
 
-        def tampered(i, iota, j, omega, scaled):
-            d1, d2, d3 = original(i, iota, j, omega, scaled)
+        def tampered(i, iota2, j, omega, scaled):
+            d1, d2, d3 = original(i, iota2, j, omega, scaled)
             return d1, -d2, d3
 
         monkeypatch.setattr(series_mod, "_triple", tampered)
@@ -387,8 +423,8 @@ class TestVerify:
 
         original = series_mod._triple
 
-        def tampered(i, iota, j, omega, scaled):
-            d1, d2, d3 = original(i, iota, j, omega, scaled)
+        def tampered(i, iota2, j, omega, scaled):
+            d1, d2, d3 = original(i, iota2, j, omega, scaled)
             return d1, -d2, d3
 
         monkeypatch.setattr(series_mod, "_triple", tampered)

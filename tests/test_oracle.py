@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -183,6 +185,19 @@ class TestEigenvalues:
             GridSpec(mode=GridMode.FLAT, r_min=0.0, r_max=10.0, n_points=32)
         with pytest.raises(InvalidParameterError, match="r_max"):
             GridSpec(mode=GridMode.FLAT, r_min=2.0, r_max=1.0)
+
+    @pytest.mark.parametrize("r_min, r_max", [(0.0, math.inf), (0.0, math.nan), (math.nan, 5.0)])
+    def test_grid_ends_must_be_finite(self, r_min, r_max):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GridSpec(mode=GridMode.FLAT, r_min=r_min, r_max=r_max)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6])
+    def test_residual_tol_must_be_positive(self, tol):
+        # a NaN tolerance would let every residual through the gate unseen
+        p = flat_critical()
+        grid = GridSpec.default(GridMode.FLAT, p, n_points=1000)
+        with pytest.raises(InvalidParameterError, match="residual_tol"):
+            oracle_eigenvalues(p, grid, residual_tol=tol)
 
     def test_n_eigs_validation(self):
         p = flat_critical()

@@ -79,7 +79,7 @@ class TestRecurrence:
             j = rng.uniform(0.5, 2.0)
             omega = rng.uniform(0.0, 2.0)
             scaled = rng.uniform(-5, 5)
-            d1, _, d3 = _triple(-1, iota, j, omega, scaled)
+            d1, _, d3 = _triple(-1, iota**2, j, omega, scaled)
             assert d1 / d3 == pytest.approx(
                 _seed(iota, j, omega, scaled), rel=1e-13
             )

@@ -29,6 +29,7 @@ from screwspec.series import _seed, _triple
 from screwspec.spectrum import (
     TruncationError,
     _companions,
+    _table,
     closed_form_discriminant,
     n1_levels,
 )
@@ -484,6 +485,109 @@ def random_points(seed, count):
             Omega=float(rng.uniform(-2, 2)),
             flux=float(rng.uniform(0, 6)),
         )
+
+
+def reference_table(p, n_max):
+    """c_0 .. c_{n_max} built with ``numpy.polynomial``, as the package once built it.
+
+    ``npp.polymul`` and ``polyadd`` trim trailing zeros, so an entry whose
+    top coefficient underflows comes out short; the first short entry
+    raises.  :func:`lambda_polynomials` must equal this table bit for bit
+    and raise where it raises, with the same message.
+    """
+    d = derive_params(p)
+    iota, j, omega, b2 = d.iota, d.j, d.omega, p.beta**2
+    entries = [
+        np.array([1.0]),
+        np.array([
+            (2.0 * omega * (1.0 + j) - iota**2 + 0.5 + j) / (4.0 * (1.0 + j)),
+            -b2 / (4.0 * (1.0 + j)),
+        ]),
+    ]
+    for i in range(n_max - 1):
+        d1_const, d2_const, d3 = _triple(i, iota**2, j, omega, 0.0)
+        d1 = np.array([d1_const, -b2 / 4.0])
+        d2 = np.array([d2_const, b2 / 4.0])
+        nxt = npp.polyadd(npp.polymul(d1, entries[i + 1]), npp.polymul(d2, entries[i]))
+        entries.append(nxt / d3)
+    for i, e in enumerate(entries):
+        if len(e) != i + 1:
+            raise TruncationError(f"degree of c_{i} is {len(e) - 1}, expected {i}")
+    return entries
+
+
+def table_outcome(build, p, n_max):
+    """The entries' bytes, or the TruncationError message."""
+    try:
+        with np.errstate(all="ignore"):
+            return [np.asarray(e).tobytes() for e in build(p, n_max)]
+    except TruncationError as exc:
+        return str(exc)
+
+
+def extreme_points():
+    """Valid points where the table's top coefficients underflow early, and
+    where omega or j overflow or turn NaN."""
+    for beta in (1e-100, 1e-150, 1e-162, 1e-170, 1e-200, 5e-324):
+        for mass, omega0, gamma in ((1.0, 2.0, 0.0), (1e300, 1e300, 0.0), (1e300, 1.0, 1e300)):
+            for model in Model:
+                osc = model is Model.OSCILLATOR
+                yield PhysicalParams(
+                    model=model, mass=mass, omega0=omega0 if osc else 0.0, gamma=gamma,
+                    beta=beta, k=0.5, ell=2, flux=0.75,
+                )
+
+
+class TestTable:
+    N_MAX = 80
+
+    def test_table_is_bitwise_the_numpy_polynomial_table(self):
+        lost = set()
+        for idx, p in enumerate(random_points(14, 240)):
+            want = table_outcome(reference_table, p, self.N_MAX)
+            orders = [self.N_MAX]
+            if isinstance(want, str):
+                order = int(want.split()[2][2:])  # "degree of c_<order> is ..."
+                lost.add((idx, order))
+                orders += [order - 1, order]
+            for n_max in orders:
+                got = table_outcome(lambda q, m: lambda_polynomials(q, m).entries, p, n_max)
+                assert got == table_outcome(reference_table, p, n_max), (idx, n_max)
+        # the random points lose the degree at many orders, in both models
+        assert len({order for _, order in lost}) > 10
+        assert {idx % 2 for idx, _ in lost} == {0, 1}
+
+    def test_extreme_points_lose_the_degree_as_numpy_polynomial_does(self):
+        messages = set()
+        for p in extreme_points():
+            for n_max in (1, 2, 3, 40, self.N_MAX):
+                want = table_outcome(reference_table, p, n_max)
+                got = table_outcome(lambda q, m: lambda_polynomials(q, m).entries, p, n_max)
+                assert got == want, (p, n_max)
+                if isinstance(want, str):
+                    messages.add(want)
+        # c_2 keeps only its constant term where beta**2 / 4 underflows, and
+        # its first two terms where only the slope times the top of c_1 does
+        assert {"degree of c_2 is 0, expected 2", "degree of c_2 is 1, expected 2"} <= messages
+
+    def test_an_axis_table_is_its_one_point_tables(self):
+        inputs = [
+            (d.iota**2, d.j, d.omega, p.beta**2)
+            for p in random_points(15, 200) for d in [derive_params(p)]
+        ]
+        axis, lost = _table(*(np.array(column) for column in zip(*inputs)), self.N_MAX)
+        for idx, args in enumerate(inputs):
+            try:
+                point, _ = _table(*args, self.N_MAX)
+            except TruncationError as exc:
+                assert lost[idx]
+                order = int(str(exc).split()[2][2:])
+                point, _ = _table(*args, order - 1)
+            else:
+                assert not lost[idx]
+            for i, entry in enumerate(point[1:], start=1):
+                assert np.array(entry).tobytes() == np.array([c[idx] for c in axis[i]]).tobytes()
+        assert 0 < lost.sum() < len(inputs)
 
 
 class TestN1Kernel:
