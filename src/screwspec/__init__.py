@@ -33,33 +33,25 @@ from .params import (
 )
 from .series import (
     ConvergenceWarning,
-    RecurrenceTriple,
     ResidualReport,
     SeriesOverflowError,
     SeriesSolution,
     changeofvar_consistency,
-    coefficients_csv,
-    eval_psi_x,
     eval_psi_x_derivatives,
-    recurrence_triple,
     series_coefficients,
     series_residual,
 )
 from .spectrum import (
     Branch,
-    ClosedFormComparison,
     EnergyLevel,
     LambdaPolynomialTable,
     NegativeDiscriminantError,
-    PeriodicityCheck,
     TruncationError,
-    WavefunctionAudit,
-    ab_periodicity_check,
-    compare_closed_form_vs_truncation,
     ground_state_closed_form,
     ground_state_wavefunction,
     lambda_polynomials,
     level_series,
+    levels_to_csv,
     levels_to_json,
     truncation_solve,
 )
@@ -82,34 +74,26 @@ __all__ = [
     "gaussian_probe",
     "radial_lhs",
     "transformed_lhs",
-    "RecurrenceTriple",
     "SeriesSolution",
     "ResidualReport",
     "SeriesOverflowError",
     "ConvergenceWarning",
-    "recurrence_triple",
     "series_coefficients",
-    "eval_psi_x",
     "eval_psi_x_derivatives",
     "series_residual",
     "changeofvar_consistency",
-    "coefficients_csv",
     "Branch",
     "EnergyLevel",
     "LambdaPolynomialTable",
     "NegativeDiscriminantError",
     "TruncationError",
-    "WavefunctionAudit",
-    "ClosedFormComparison",
-    "PeriodicityCheck",
     "lambda_polynomials",
     "truncation_solve",
     "ground_state_closed_form",
     "ground_state_wavefunction",
     "level_series",
-    "compare_closed_form_vs_truncation",
-    "ab_periodicity_check",
     "levels_to_json",
+    "levels_to_csv",
     "GridMode",
     "GridSpec",
     "OracleResult",

@@ -5,9 +5,10 @@ a single library call, so CLI output equals direct API output bit for
 bit.  Commands: energy, sweep, oracle, verify, wavefunction.
 
 Exit codes: 0 success, 1 invalid input (including malformed flags, flags
-a command does not read, and grids too coarse for the accuracy gate), 2
-when no real level exists for the requested parameters, 3 when the
-truncation order is too high for its polynomial roots to be trusted.
+a command does not read, parameters whose squares overflow, and grids too
+coarse for the accuracy gate), 2 when no real level exists for the
+requested parameters, 3 when the truncation order is too high for its
+polynomial roots to be trusted.
 Expected failures print a machine-readable JSON object on standard error,
 never a stack trace.
 """
@@ -39,6 +40,7 @@ from .spectrum import (
     ground_state_closed_form,
     ground_state_wavefunction,
     level_series,
+    levels_to_csv,
     levels_to_json,
     truncation_solve,
 )
@@ -120,18 +122,6 @@ def _params_from(args: argparse.Namespace) -> PhysicalParams:
     )
 
 
-def _levels_csv(levels) -> str:
-    lines = ["n,ell,branch,energy,spectral,discriminant,termination_defect,c1_over_c0"]
-    for lv in levels:
-        branch = lv.branch.value if lv.branch is not None else ""
-        disc = "" if lv.discriminant is None else f"{lv.discriminant:.17g}"
-        lines.append(
-            f"{lv.n},{lv.ell},{branch},{lv.energy:.17g},{lv.spectral:.17g},"
-            f"{disc},{lv.termination_defect:.17g},{lv.c1_over_c0:.17g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_energy(args: argparse.Namespace) -> int:
     p = _params_from(args)
     if args.method == "closed-form":
@@ -167,7 +157,7 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         _error_json("no-real-level", f"no {args.branch}-branch level here")
         return 2
     if args.format == "csv":
-        _emit(_levels_csv(levels), args.out)
+        _emit(levels_to_csv(levels), args.out)
     else:
         _emit(levels_to_json(levels), args.out)
     return 0
@@ -256,7 +246,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
             _error_json("invalid-input", "the closed form covers n = 1 only")
             return 1
         try:
-            sol = ground_state_wavefunction(p, branch).solution
+            sol = ground_state_wavefunction(p, branch)
         except NegativeDiscriminantError as exc:
             _error_json(
                 "no-real-level",
@@ -376,6 +366,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (InvalidParameterError, ValueError) as exc:
         _error_json("invalid-input", str(exc))
+        return 1
+    except OverflowError as exc:  # a parameter so large that its square leaves the float range
+        _error_json("invalid-input", f"overflow at these parameters: {exc}")
         return 1
 
 

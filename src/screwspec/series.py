@@ -47,18 +47,14 @@ from .params import (
 )
 
 __all__ = [
-    "RecurrenceTriple",
     "SeriesSolution",
     "ResidualReport",
     "SeriesOverflowError",
     "ConvergenceWarning",
-    "recurrence_triple",
     "series_coefficients",
-    "eval_psi_x",
     "eval_psi_x_derivatives",
     "series_residual",
     "changeofvar_consistency",
-    "coefficients_csv",
 ]
 
 OVERFLOW_LIMIT = 1e300
@@ -79,15 +75,6 @@ class SeriesOverflowError(OverflowError):
 
 class ConvergenceWarning(UserWarning):
     """Series evaluated where convergence is not guaranteed (x >= 1)."""
-
-
-@dataclass(frozen=True)
-class RecurrenceTriple:
-    """The three recurrence factors (d1, d2, d3) at one index."""
-
-    d1: float
-    d2: float
-    d3: float
 
 
 @dataclass(frozen=True)
@@ -137,18 +124,6 @@ def _seed(iota: float, j: float, omega: float, scaled: float) -> float:
     return (2.0 * omega * (1.0 + j) - iota**2 - scaled + 0.5 + j) / (4.0 * (1.0 + j))
 
 
-def recurrence_triple(
-    i: int, p: PhysicalParams, spectral: SpectralParameter
-) -> RecurrenceTriple:
-    """Factors (d1, d2, d3) of ``c_{i+2} = (d1 c_{i+1} + d2 c_i)/d3`` at index i >= 0."""
-    if i < 0:
-        raise ValueError(f"recurrence index must be >= 0: got {i}")
-    d = derive_params(p)
-    scaled = spectral.value * p.beta**2
-    d1, d2, d3 = _triple(i, d.iota**2, d.j, d.omega, scaled)
-    return RecurrenceTriple(d1=d1, d2=d2, d3=d3)
-
-
 def series_coefficients(
     p: PhysicalParams, spectral: SpectralParameter, n_terms: int
 ) -> SeriesSolution:
@@ -192,11 +167,6 @@ def _polyval_with_derivatives(coeffs: Sequence[float], x: float) -> tuple[float,
         s1 = s1 * x + s
         s = s * x + a
     return s, s1, s2
-
-
-def eval_psi_x(sol: SeriesSolution, x: float) -> float:
-    """Evaluate the solution at ``x > 0``."""
-    return eval_psi_x_derivatives(sol, x)[0]
 
 
 def eval_psi_x_derivatives(sol: SeriesSolution, x: float) -> tuple[float, float, float]:
@@ -298,10 +268,3 @@ def changeofvar_consistency(
     scale = max(1.0, abs(trans), abs(p.beta**2 * radial))
     return diff / scale
 
-
-def coefficients_csv(sol: SeriesSolution) -> str:
-    """Coefficient table as CSV text (columns ``i,c_i``, 17 significant digits)."""
-    lines = ["i,c_i"]
-    for i, ci in enumerate(sol.coeffs):
-        lines.append(f"{i},{ci:.17g}")
-    return "\n".join(lines) + "\n"

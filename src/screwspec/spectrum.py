@@ -13,8 +13,8 @@ Two routes are implemented side by side:
   expressions for the two n = 1 spectral values.  For the oscillator
   these are stated with the Gaussian rate ``M omega0 beta`` rather than
   the ``M omega0 beta**2`` the recurrence runs on, so the two routes
-  genuinely differ.  Their agreement is measured, never assumed;
-  :func:`compare_closed_form_vs_truncation` records AGREE or
+  genuinely differ.  Their agreement is measured, never assumed: the
+  ``closed-form-audit`` check of :mod:`screwspec.verify` records AGREE or
   DISCREPANT-DOCUMENTED per branch, printing the exact quadratic so the
   numbers can be checked by hand.
 
@@ -33,32 +33,28 @@ no route goes through ``numpy.polynomial``.  The root loops stay apart:
 :func:`truncation_solve` polishes each root on its own, which is faster
 at one point, and the kernel polishes every candidate of the axis at once.
 
-The ground-state series seed c_1 has its own closed form per branch;
-:func:`ground_state_wavefunction` cross-checks it against the recurrence
-seed formula, evaluated with the analytic route's rate at the
-closed-form spectral value, and flags any mismatch in the sign pairing
-or algebra.
+The ground-state series seed c_1 has its own closed form per branch,
+which :func:`ground_state_wavefunction` uses; at the closed-form spectral
+value, with the analytic route's rate, it equals the recurrence seed.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .params import (
     Model,
     PhysicalParams,
-    SpectralParameter,
     derive_params,
     spectral_to_energy,
 )
-from .series import SeriesSolution, _seed, _triple
+from .series import SeriesSolution, _triple
 
 __all__ = [
     "Branch",
@@ -67,10 +63,6 @@ __all__ = [
     "TruncationError",
     "N1Levels",
     "LambdaPolynomialTable",
-    "WavefunctionAudit",
-    "PairRecord",
-    "ClosedFormComparison",
-    "PeriodicityCheck",
     "lambda_polynomials",
     "truncation_solve",
     "n1_levels",
@@ -78,14 +70,11 @@ __all__ = [
     "ground_state_closed_form",
     "ground_state_wavefunction",
     "level_series",
-    "compare_closed_form_vs_truncation",
-    "ab_periodicity_check",
     "levels_to_json",
+    "levels_to_csv",
 ]
 
 ROOT_RESIDUAL_TOL = 1e-10
-
-AGREEMENT_TOL = 1e-8
 
 
 class Branch(str, Enum):
@@ -352,8 +341,8 @@ def _closed_form_rate(p: PhysicalParams) -> float:
     machinery runs on (the x = r**2 / beta**2 substitution forces that one;
     the change-of-variable check pins it).  The analytic pair is evaluated
     with the linear-in-beta rate it is stated with, and the gap between the
-    two routes is measured by :func:`compare_closed_form_vs_truncation`
-    rather than reconciled.
+    two routes is measured by the ``closed-form-audit`` check of
+    :mod:`screwspec.verify` rather than reconciled.
     """
     if p.model is Model.OSCILLATOR:
         return p.mass * p.omega0 * p.beta
@@ -571,32 +560,11 @@ def ground_state_closed_form(p: PhysicalParams) -> list[EnergyLevel]:
     ]
 
 
-@dataclass(frozen=True)
-class WavefunctionAudit:
-    """Ground-state series with its seed cross-check.
+def ground_state_wavefunction(p: PhysicalParams, branch: Branch) -> SeriesSolution:
+    """Degree-1 series for one closed-form n = 1 branch.
 
-    ``c1_closed_form`` is the analytic per-branch expression for c_1;
-    ``c1_seed`` is the recurrence seed formula evaluated at the same
-    spectral value with the same Gaussian rate, so the check probes the
-    sign pairing and algebra of the analytic route itself.  ``discrepant``
-    is True when they disagree beyond 1e-8.  The attached level's
-    ``c1_over_c0`` is the actual polynomial-table seed, so the distance
-    to the terminating recurrence stays visible separately.
-    """
-
-    solution: SeriesSolution
-    level: EnergyLevel
-    c1_closed_form: float
-    c1_seed: float
-    abs_diff: float
-    discrepant: bool
-
-
-def ground_state_wavefunction(p: PhysicalParams, branch: Branch) -> WavefunctionAudit:
-    """Degree-1 series for one closed-form n = 1 branch, audited against the seed.
-
-    The plus energy branch pairs with the minus sign in the c_1
-    expression and vice versa.
+    c_1 is the analytic per-branch expression; the plus energy branch
+    pairs with the minus sign in front of its square root and vice versa.
     """
     branch = Branch(branch)
     levels = ground_state_closed_form(p)
@@ -610,22 +578,12 @@ def ground_state_wavefunction(p: PhysicalParams, branch: Branch) -> Wavefunction
         c1 = (iota**2 - 2.0 * w * (j + 3.0) - j - 2.5 + sign * sq) / (4.0 * (1.0 + j))
     else:
         c1 = (-1.0 + sign * sq) / (4.0 * (1.0 + j))
-    seed = _seed(iota, j, w, level.spectral * p.beta**2)
-    diff = abs(c1 - seed)
-    solution = SeriesSolution(
+    return SeriesSolution(
         coeffs=np.array([1.0, c1]),
         power=0.25 + j / 2.0,
         gauss_factor=w / 2.0,
         model=p.model,
         polynomial_degree=1,
-    )
-    return WavefunctionAudit(
-        solution=solution,
-        level=level,
-        c1_closed_form=c1,
-        c1_seed=seed,
-        abs_diff=diff,
-        discrepant=diff > AGREEMENT_TOL * max(1.0, abs(c1)),
     )
 
 
@@ -649,155 +607,31 @@ def level_series(p: PhysicalParams, level: EnergyLevel) -> SeriesSolution:
     )
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One closed-form value matched against the nearest truncation root."""
-
-    branch: Branch
-    closed_spectral: float
-    truncation_spectral: float | None
-    rel_diff: float | None
-    label: str
+# the columns of levels_to_json and levels_to_csv, in order
+_LEVEL_FIELDS = (
+    "n", "ell", "branch", "energy", "spectral", "discriminant", "termination_defect", "c1_over_c0"
+)
 
 
-@dataclass(frozen=True)
-class ClosedFormComparison:
-    """Audit of the analytic n = 1 pair against the exact quadratic.
-
-    ``quadratic`` holds the descending coefficients (a, b, c) of the
-    truncation condition a*s^2 + b*s + c = 0 in the spectral parameter,
-    printed in full by :meth:`to_text` so every number can be rechecked
-    by hand.
-    """
-
-    model: Model
-    quadratic: tuple[float, float, float]
-    closed: tuple[EnergyLevel, ...]
-    closed_empty_reason: str | None
-    truncation: tuple[EnergyLevel, ...]
-    pairs: tuple[PairRecord, ...]
-    existence: str
-
-    def to_text(self) -> str:
-        a, b, c = self.quadratic
-        lines = [
-            f"closed-form audit ({self.model.value} model)",
-            f"  truncation quadratic: ({a:.17g}) s^2 + ({b:.17g}) s + ({c:.17g}) = 0",
-            f"  truncation roots:  {[f'{lv.spectral:.17g}' for lv in self.truncation]}",
-        ]
-        if self.closed_empty_reason:
-            lines.append(f"  closed form: none ({self.closed_empty_reason})")
-        else:
-            lines.append(
-                f"  closed form:       {[f'{lv.spectral:.17g}' for lv in self.closed]}"
-            )
-        for pr in self.pairs:
-            near = "none" if pr.truncation_spectral is None else f"{pr.truncation_spectral:.17g}"
-            rel = "n/a" if pr.rel_diff is None else f"{pr.rel_diff:.3e}"
-            lines.append(
-                f"  {pr.branch.value}: closed {pr.closed_spectral:.17g} vs nearest root "
-                f"{near} (rel diff {rel}) -> {pr.label}"
-            )
-        lines.append(f"  existence: {self.existence}")
-        return "\n".join(lines)
-
-
-def compare_closed_form_vs_truncation(p: PhysicalParams) -> ClosedFormComparison:
-    """Measure whether the analytic n = 1 pair solves the truncation quadratic.
-
-    Pure audit: nothing here fails, the result records AGREE or
-    DISCREPANT-DOCUMENTED per branch (tolerance 1e-8 relative).
-    """
-    table = lambda_polynomials(p, 2)
-    asc = table.entry(2)
-    quadratic = (float(asc[2]), float(asc[1]), float(asc[0]))
-    trunc = tuple(truncation_solve(p, 1))
-    closed: tuple[EnergyLevel, ...] = ()
-    reason = None
-    try:
-        closed = tuple(ground_state_closed_form(p))
-    except NegativeDiscriminantError as exc:
-        reason = f"negative discriminant ({exc.discriminant:.17g})"
-    pairs = []
-    for lv in closed:
-        if trunc:
-            nearest = min(trunc, key=lambda t: abs(t.spectral - lv.spectral))
-            rel = abs(nearest.spectral - lv.spectral) / max(
-                1.0, abs(nearest.spectral), abs(lv.spectral)
-            )
-            label = "AGREE" if rel <= AGREEMENT_TOL else "DISCREPANT-DOCUMENTED"
-            pairs.append(PairRecord(lv.branch, lv.spectral, nearest.spectral, rel, label))
-        else:
-            pairs.append(
-                PairRecord(lv.branch, lv.spectral, None, None, "DISCREPANT-DOCUMENTED")
-            )
-    if closed and trunc:
-        existence = "both-populated"
-    elif not closed and not trunc:
-        existence = "both-empty"
-    elif closed:
-        existence = "closed-form-only"
-    else:
-        existence = "truncation-only"
-    return ClosedFormComparison(
-        model=p.model,
-        quadratic=quadratic,
-        closed=closed,
-        closed_empty_reason=reason,
-        truncation=trunc,
-        pairs=tuple(pairs),
-        existence=existence,
-    )
-
-
-@dataclass(frozen=True)
-class PeriodicityCheck:
-    """Energies under flux -> flux + nu versus ell -> ell - nu."""
-
-    nu: int
-    flux_shifted_energy: float
-    ell_shifted_energy: float
-    abs_diff: float
-
-
-def ab_periodicity_check(
-    p: PhysicalParams,
-    nu: int,
-    level_fn: Callable[[PhysicalParams], float] | None = None,
-) -> PeriodicityCheck:
-    """Spectral periodicity in the flux: adding nu quanta relabels ell.
-
-    Both shifted parameter sets share the same iota, so any level
-    functional of the radial problem must agree; the default functional
-    is the minus-branch closed-form energy.
-    """
-    if isinstance(nu, bool) or not isinstance(nu, int):
-        raise ValueError(f"nu must be an integer: got {nu!r}")
-    if level_fn is None:
-        level_fn = lambda q: ground_state_closed_form(q)[0].energy  # noqa: E731
-    lhs = level_fn(dataclasses.replace(p, flux=p.flux + nu))
-    rhs = level_fn(dataclasses.replace(p, ell=p.ell - nu))
-    return PeriodicityCheck(
-        nu=nu,
-        flux_shifted_energy=lhs,
-        ell_shifted_energy=rhs,
-        abs_diff=abs(lhs - rhs),
-    )
+def _level_values(lv: EnergyLevel) -> list:
+    """The fields of one level in ``_LEVEL_FIELDS`` order, the branch as its string."""
+    values = [getattr(lv, name) for name in _LEVEL_FIELDS]
+    return [v.value if isinstance(v, Branch) else v for v in values]
 
 
 def levels_to_json(levels: Sequence[EnergyLevel]) -> str:
     """JSON dump of level records with fixed field names."""
-    records = [
-        {
-            "n": lv.n,
-            "ell": lv.ell,
-            "branch": lv.branch.value if lv.branch is not None else None,
-            "energy": lv.energy,
-            "spectral": lv.spectral,
-            "discriminant": lv.discriminant,
-            "termination_defect": lv.termination_defect,
-            "c1_over_c0": lv.c1_over_c0,
-        }
-        for lv in levels
-    ]
+    records = [dict(zip(_LEVEL_FIELDS, _level_values(lv))) for lv in levels]
     return json.dumps(records, indent=2)
+
+
+def levels_to_csv(levels: Sequence[EnergyLevel]) -> str:
+    """The records of :func:`levels_to_json` as CSV: floats to 17 digits, None empty."""
+    lines = [",".join(_LEVEL_FIELDS)]
+    for lv in levels:
+        cells = [
+            "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+            for v in _level_values(lv)
+        ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -46,9 +46,7 @@ from .series import (
     series_residual,
 )
 from .spectrum import (
-    ab_periodicity_check,
     closed_form_discriminant,
-    compare_closed_form_vs_truncation,
     ground_state_closed_form,
     lambda_polynomials,
     truncation_solve,
@@ -148,19 +146,22 @@ def _random_params(rng: np.random.Generator, model: Model) -> PhysicalParams:
 
 
 def _random_params_with_closed_form(
-    rng: np.random.Generator, model: Model, shift: int = 0
+    rng: np.random.Generator, model: Model, shift: int = 0, truncation: bool = False
 ) -> PhysicalParams:
     """Rejection-sample until the n = 1 closed form is real.
 
     ``shift`` additionally requires reality at flux + shift (used by the
-    periodicity check, whose shifted configurations share one iota).
+    periodicity check, whose shifted configurations share one iota), and
+    ``truncation`` a real root of c_2 there as well.
     """
     for _ in range(5000):
         p = _random_params(rng, model)
         if closed_form_discriminant(p) < 0:
             continue
-        if shift and closed_form_discriminant(dataclasses.replace(p, flux=p.flux + shift)) < 0:
-            continue
+        if shift:
+            q = dataclasses.replace(p, flux=p.flux + shift)
+            if closed_form_discriminant(q) < 0 or (truncation and not truncation_solve(q, 1)):
+                continue
         return p
     raise RuntimeError("could not sample parameters with a real closed form")
 
@@ -351,6 +352,45 @@ def check_truncation(rng: np.random.Generator, fast: bool = False) -> CheckResul
     return _run("truncation-self-consistency", tol, body)
 
 
+def _audit_pairs(p: PhysicalParams, tol: float) -> tuple[list[float], list[tuple]]:
+    """The n = 1 truncation roots at ``p``, and each closed-form level against them.
+
+    One (level, nearest root, relative difference, label) per branch; with
+    no real root the nearest root and the difference are None.
+    """
+    roots = [lv.spectral for lv in truncation_solve(p, 1)]
+    pairs = []
+    for lv in ground_state_closed_form(p):
+        near = rel = None
+        if roots:
+            near = min(roots, key=lambda t: abs(t - lv.spectral))
+            rel = abs(near - lv.spectral) / max(1.0, abs(near), abs(lv.spectral))
+        label = "AGREE" if rel is not None and rel <= tol else "DISCREPANT-DOCUMENTED"
+        pairs.append((lv, near, rel, label))
+    return roots, pairs
+
+
+def _audit_text(p: PhysicalParams, tol: float) -> str:
+    """The audit at ``p`` with the truncation quadratic, every number in full."""
+    c, b, a = lambda_polynomials(p, 2).entry(2).tolist()
+    roots, pairs = _audit_pairs(p, tol)
+    lines = [
+        f"closed-form audit ({p.model.value} model)",
+        f"  truncation quadratic: ({a:.17g}) s^2 + ({b:.17g}) s + ({c:.17g}) = 0",
+        f"  truncation roots:  {[f'{s:.17g}' for s in roots]}",
+        f"  closed form:       {[f'{lv.spectral:.17g}' for lv, *_ in pairs]}",
+    ]
+    for lv, near, rel, label in pairs:
+        near_text = "none" if near is None else f"{near:.17g}"
+        rel_text = "n/a" if rel is None else f"{rel:.3e}"
+        lines.append(
+            f"  {lv.branch.value}: closed {lv.spectral:.17g} vs nearest root "
+            f"{near_text} (rel diff {rel_text}) -> {label}"
+        )
+    lines.append(f"  existence: {'both-populated' if roots else 'closed-form-only'}")
+    return "\n".join(lines)
+
+
 def check_closed_form_audit(rng: np.random.Generator, fast: bool = False) -> CheckResult:
     """Closed-form n = 1 pair vs the exact truncation quadratic (audit)."""
     tol = 1e-8
@@ -364,23 +404,28 @@ def check_closed_form_audit(rng: np.random.Generator, fast: bool = False) -> Che
         for model in Model:
             for _ in range(draws):
                 p = _random_params_with_closed_form(rng, model)
-                cmp = compare_closed_form_vs_truncation(p)
-                for pr in cmp.pairs:
-                    if pr.label == "AGREE":
+                for _, _, rel, label in _audit_pairs(p, tol)[1]:
+                    if label == "AGREE":
                         agree += 1
                     else:
                         discrepant += 1
                         if sample is None:
-                            sample = cmp
-                    if pr.rel_diff is not None:
-                        worst = pr.rel_diff if worst is None else max(worst, pr.rel_diff)
+                            sample = p
+                    if rel is not None:
+                        worst = rel if worst is None else max(worst, rel)
         detail = f"{agree} AGREE, {discrepant} DISCREPANT over {2 * draws} parameter sets"
         if discrepant:
-            detail += "\n" + sample.to_text()
+            detail += "\n" + _audit_text(sample, tol)
             return "DISCREPANT-DOCUMENTED", worst, detail
         return "PASS", worst, detail
 
     return _run("closed-form-audit", tol, body)
+
+
+def _shift_gap(p: PhysicalParams, nu: int, energy: Callable[[PhysicalParams], float]) -> float:
+    """|E(flux + nu) - E(ell - nu)|: both shifts give the same iota, so it is 0."""
+    flux_shifted = energy(dataclasses.replace(p, flux=p.flux + nu))
+    return abs(flux_shifted - energy(dataclasses.replace(p, ell=p.ell - nu)))
 
 
 def check_ab_periodicity(rng: np.random.Generator, fast: bool = False) -> CheckResult:
@@ -393,17 +438,17 @@ def check_ab_periodicity(rng: np.random.Generator, fast: bool = False) -> CheckR
         for idx in range(draws):
             model = Model.OSCILLATOR if idx % 2 == 0 else Model.INVERSE_SQUARE
             for nu in (1, 2, 3):
-                p = _random_params_with_closed_form(rng, model, shift=nu)
+                # every fourth baseline also checks the lowest truncation root
+                truncation = idx % 4 == 0
+                p = _random_params_with_closed_form(rng, model, nu, truncation)
                 for pick in (0, 1):
-                    chk = ab_periodicity_check(
-                        p, nu, lambda q: ground_state_closed_form(q)[pick].energy
+                    worst = max(
+                        worst,
+                        _shift_gap(p, nu, lambda q: ground_state_closed_form(q)[pick].energy),
                     )
-                    worst = max(worst, chk.abs_diff)
-                if idx % 4 == 0:
-                    chk = ab_periodicity_check(
-                        p, nu, lambda q: truncation_solve(q, 1)[0].energy
-                    )
-                    worst = max(worst, chk.abs_diff)
+                if truncation:
+                    lowest = _shift_gap(p, nu, lambda q: truncation_solve(q, 1)[0].energy)
+                    worst = max(worst, lowest)
         status = "PASS" if worst <= tol else "FAIL"
         return status, worst, f"{draws} baselines, nu in (1, 2, 3), both branches"
 

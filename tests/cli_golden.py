@@ -1,0 +1,71 @@
+"""CLI runs whose standard output is pinned in ``data/cli_golden.json``.
+
+The cases cover ``energy`` as JSON and CSV (closed form, truncation at
+n = 1 and n = 3) and ``wavefunction`` (closed form on both branches,
+truncation at n = 3), at one point of each model.  ``tests/test_cli.py``
+compares the output of every case with the recorded bytes.
+
+The recorded file comes from commit 3483a2d, the last one before the
+level CSV writer moved from the CLI into ``spectrum.levels_to_csv``, and
+can be rewritten from any checkout with::
+
+    PYTHONPATH=<checkout>/src python tests/cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import pathlib
+
+from screwspec.cli import main
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("data") / "cli_golden.json"
+
+POINTS = {
+    "oscillator": ["--omega0", "2", "--beta", "0.5", "--k", "0.5", "--ell", "2", "--flux", "0.75"],
+    "inverse-square": [
+        "--model", "inverse-square", "--mass", "0.9", "--beta", "0.5", "--k", "0.4",
+        "--ell", "2", "--gamma", "0.3", "--Omega", "0.2",
+    ],
+}
+
+METHODS = {
+    "closed-form": ["--method", "closed-form"],
+    "truncation-1": ["--method", "truncation", "--n", "1"],
+    "truncation-3": ["--method", "truncation", "--n", "3"],
+}
+
+
+def cases() -> dict[str, list[str]]:
+    out = {}
+    for model, point in POINTS.items():
+        for method, flags in METHODS.items():
+            for fmt in ("json", "csv"):
+                out[f"energy:{model}:{method}:{fmt}"] = ["energy", *point, *flags, "--format", fmt]
+        samples = ["--samples", "25"]
+        for branch in ("minus", "plus"):
+            out[f"wavefunction:{model}:closed-form:{branch}"] = [
+                "wavefunction", *point, "--branch", branch, *samples,
+            ]
+        # a terminating series may be sampled past x = 1
+        out[f"wavefunction:{model}:truncation-3"] = [
+            "wavefunction", *point, *METHODS["truncation-3"], "--xmax", "1.5", *samples,
+        ]
+    return out
+
+
+def run(argv: list[str]) -> str:
+    """Standard output of one successful CLI run."""
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"exit {code}: {' '.join(argv)}")
+    return buffer.getvalue()
+
+
+if __name__ == "__main__":
+    golden = {name: run(argv) for name, argv in cases().items()}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")

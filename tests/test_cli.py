@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from cli_golden import GOLDEN_PATH
+from cli_golden import cases as golden_cases
 
 from screwspec import (
     Model,
@@ -9,10 +11,12 @@ from screwspec import (
     SweepSpec,
     ground_state_closed_form,
     ground_state_wavefunction,
+    levels_to_csv,
     levels_to_json,
     rows_to_csv,
     run_verification,
     sweep_rows,
+    truncation_solve,
 )
 from screwspec.cli import main
 from screwspec.spectrum import Branch
@@ -55,6 +59,7 @@ class TestEnergy:
     def test_csv_format(self, capsys):
         code, out, _ = run(["energy", *OSC_ARGS, "--format", "csv"], capsys)
         assert code == 0
+        assert out == levels_to_csv(ground_state_closed_form(P_OSC))
         lines = out.splitlines()
         assert lines[0] == (
             "n,ell,branch,energy,spectral,discriminant,termination_defect,c1_over_c0"
@@ -85,6 +90,17 @@ class TestEnergy:
         root7 = math.sqrt(7.0)
         assert data[0]["spectral"] == pytest.approx(14 - 4 * root7, rel=1e-12)
         assert data[1]["spectral"] == pytest.approx(14 + 4 * root7, rel=1e-12)
+
+    def test_truncation_csv_leaves_absent_fields_empty(self, capsys):
+        code, out, _ = run(
+            ["energy", *OSC_ARGS, "--method", "truncation", "--n", "3", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        assert out == levels_to_csv(truncation_solve(P_OSC, 3))
+        for line in out.splitlines()[1:]:
+            n, ell, branch, *_, discriminant, _, _ = line.split(",")
+            assert (n, ell, branch, discriminant) == ("3", "2", "", "")
 
     def test_branch_fallback_for_unlabelled_roots(self, capsys):
         code, out, _ = run(
@@ -147,6 +163,45 @@ class TestBadInput:
         )
         assert code == 1
         assert "cannot sweep" in json.loads(err)["message"]
+
+
+class TestOverflow:
+    # squaring a flux of 1e160 leaves the float range
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["energy", "--flux", "1e160"],
+            ["sweep", "--param", "flux", "--from", "1e160", "--to", "1e161", "--steps", "11",
+             "--method", "truncation"],
+        ],
+        ids=["energy", "sweep"],
+    )
+    def test_overflow_is_invalid_input(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert "overflow" in payload["message"]
+
+
+class TestGolden:
+    """CLI bytes against ``data/cli_golden.json`` (see ``cli_golden.py``)."""
+
+    GOLDEN = json.loads(GOLDEN_PATH.read_text())
+    CASES = golden_cases()
+
+    def test_every_case_is_recorded(self):
+        assert sorted(self.GOLDEN) == sorted(self.CASES)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_is_byte_identical(self, capsys, name):
+        code, out, err = run(self.CASES[name], capsys)
+        assert code == 0
+        assert err == ""
+        assert out == self.GOLDEN[name]
 
 
 class TestPerCommandFlags:
@@ -331,7 +386,7 @@ class TestWavefunction:
         lines = out.splitlines()
         assert lines[0] == "x,r,psi,dpsi_dx"
         assert len(lines) == 9
-        sol = ground_state_wavefunction(P_OSC, Branch.MINUS).solution
+        sol = ground_state_wavefunction(P_OSC, Branch.MINUS)
         c0, c1 = sol.coeffs
         psis = []
         for line in lines[1:]:
@@ -400,6 +455,15 @@ class TestVerify:
         assert code == 0
         assert "series-residual" in out
         assert "PASS" in out
+
+    def test_periodicity_baselines_have_truncation_roots(self):
+        # seed 7 draws a truncation baseline whose c_2 has no real root at
+        # flux + nu; the sampler must reject it instead of the check failing
+        report = run_verification(seed=7)
+        check = report.check("ab-periodicity")
+        assert check.status == "PASS"
+        assert check.measured is not None
+        assert report.overall_pass is True
 
     def test_tampered_recurrence_fails_the_series_check(self, monkeypatch):
         # Non-fakeability: flip one sign inside the recurrence and the

@@ -9,11 +9,9 @@ from screwspec import (
     SeriesSolution,
     SpectralParameter,
     changeofvar_consistency,
-    coefficients_csv,
-    eval_psi_x,
+    derive_params,
     eval_psi_x_derivatives,
     gaussian_probe,
-    recurrence_triple,
     series_coefficients,
     series_residual,
 )
@@ -59,16 +57,13 @@ class TestRecurrence:
         assert (d1, d2) == (2.25, 0.0)
         assert d3 == 4.0
 
-    def test_public_wrapper_matches_scalar_core(self):
+    def test_factors_from_physical_parameters(self):
+        # iota = 0 and j = 1/2 from the parameters, omega = 0, spectral = 0
         p = PhysicalParams(
             model=Model.INVERSE_SQUARE, mass=1.0, beta=0.5, k=1.0, ell=1, flux=0.5
         )
-        t = recurrence_triple(0, p, spectral(p, 0.0))
-        assert (t.d1, t.d2, t.d3) == (2.25, 0.0, 5.0)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            recurrence_triple(-1, P_OSC, spectral(P_OSC, 0.0))
+        d = derive_params(p)
+        assert _triple(0, d.iota**2, d.j, d.omega, 0.0) == (2.25, 0.0, 5.0)
 
     def test_seed_is_recurrence_row_minus_one(self):
         # c_1 = d1(-1) c_0 / d3(-1): the closed seed must agree with the
@@ -117,7 +112,7 @@ class TestEvaluation:
             model=Model.OSCILLATOR,
             polynomial_degree=0,
         )
-        assert eval_psi_x(sol, 4.0) == pytest.approx(2.0, rel=1e-15)
+        assert eval_psi_x_derivatives(sol, 4.0)[0] == pytest.approx(2.0, rel=1e-15)
 
     def test_linear_polynomial_value(self):
         sol = SeriesSolution(
@@ -128,7 +123,7 @@ class TestEvaluation:
             polynomial_degree=1,
         )
         # sqrt(1) * exp(-1/2) * (5/3)
-        assert eval_psi_x(sol, 1.0) == pytest.approx(
+        assert eval_psi_x_derivatives(sol, 1.0)[0] == pytest.approx(
             1.0108844328543891, rel=1e-15
         )
 
@@ -150,20 +145,20 @@ class TestEvaluation:
         h = 1e-5
         for x in (0.2, 0.45, 0.8):
             f, f1, f2 = eval_psi_x_derivatives(sol, x)
-            fp = eval_psi_x(sol, x + h)
-            fm = eval_psi_x(sol, x - h)
+            fp = eval_psi_x_derivatives(sol, x + h)[0]
+            fm = eval_psi_x_derivatives(sol, x - h)[0]
             assert f1 == pytest.approx((fp - fm) / (2 * h), rel=1e-8)
             assert f2 == pytest.approx((fp - 2 * f + fm) / h**2, rel=1e-5)
 
     def test_nonpositive_x_rejected(self):
         sol = series_coefficients(P_OSC, spectral(P_OSC, 3.7), 10)
         with pytest.raises(ValueError, match="positive"):
-            eval_psi_x(sol, 0.0)
+            eval_psi_x_derivatives(sol, 0.0)
 
     def test_outside_convergence_disc_warns(self):
         sol = series_coefficients(P_OSC, spectral(P_OSC, 3.7), 10)
         with pytest.warns(ConvergenceWarning):
-            eval_psi_x(sol, 1.0)
+            eval_psi_x_derivatives(sol, 1.0)
 
     def test_terminating_solutions_do_not_warn(self):
         import warnings
@@ -177,7 +172,7 @@ class TestEvaluation:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eval_psi_x(sol, 2.5)
+            eval_psi_x_derivatives(sol, 2.5)
 
 
 class TestResidual:
@@ -231,18 +226,3 @@ class TestChangeOfVariable:
         with pytest.raises(ValueError, match="positive"):
             changeofvar_consistency(P_OSC, 3.7, probe, 0.0)
 
-
-class TestCsv:
-    def test_header_and_precision(self):
-        sol = SeriesSolution(
-            coeffs=np.array([1.0, 2.0 / 3.0]),
-            power=0.5,
-            gauss_factor=0.5,
-            model=Model.OSCILLATOR,
-        )
-        text = coefficients_csv(sol)
-        lines = text.splitlines()
-        assert lines[0] == "i,c_i"
-        assert lines[1] == "0,1"
-        assert lines[2] == "1,0.66666666666666663"
-        assert text.endswith("\n")

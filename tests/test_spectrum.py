@@ -12,10 +12,8 @@ from screwspec import (
     NegativeDiscriminantError,
     PhysicalParams,
     SpectralParameter,
-    ab_periodicity_check,
-    compare_closed_form_vs_truncation,
     derive_params,
-    eval_psi_x,
+    eval_psi_x_derivatives,
     ground_state_closed_form,
     ground_state_wavefunction,
     lambda_polynomials,
@@ -33,6 +31,7 @@ from screwspec.spectrum import (
     closed_form_discriminant,
     n1_levels,
 )
+from screwspec.verify import _audit_text, check_closed_form_audit
 
 P_OSC = PhysicalParams(
     model=Model.OSCILLATOR,
@@ -231,44 +230,50 @@ class TestClosedForm:
         assert exc.value.discriminant == pytest.approx(-5.0, rel=1e-13)
         assert exc.value.model is Model.OSCILLATOR
 
+    @staticmethod
+    def seed_at_closed_form(p, level):
+        """The recurrence seed c_1 at a closed-form level, with the analytic rate."""
+        d = derive_params(p)
+        rate = p.mass * p.omega0 * p.beta
+        return _seed(d.iota, d.j, rate, level.spectral * p.beta**2)
+
     def test_closed_form_values_seed_terminating_series(self):
         # At the closed-form spectral value the seed c_1 must equal the
-        # branch's closed first coefficient; the audit flags any drift.
+        # branch's closed first coefficient.
         for p in (P_OSC, P_INV):
-            for branch in (Branch.MINUS, Branch.PLUS):
-                audit = ground_state_wavefunction(p, branch)
-                assert not audit.discrepant
-                assert audit.abs_diff <= 1e-12
-                assert audit.solution.polynomial_degree == 1
+            for level, branch in zip(ground_state_closed_form(p), (Branch.MINUS, Branch.PLUS)):
+                sol = ground_state_wavefunction(p, branch)
+                assert abs(sol.coeffs[1] - self.seed_at_closed_form(p, level)) <= 1e-12
+                assert sol.polynomial_degree == 1
 
     def test_inverse_square_first_coefficient_frozen(self):
-        audit = ground_state_wavefunction(P_INV, Branch.MINUS)
-        assert audit.c1_closed_form == pytest.approx(
-            0.014379674853336947, rel=1e-10
-        )
-        audit_plus = ground_state_wavefunction(P_INV, Branch.PLUS)
-        assert audit_plus.c1_closed_form == pytest.approx(
-            -0.34771300818667034, rel=1e-10
-        )
+        minus, plus = ground_state_closed_form(P_INV)
+        c1 = ground_state_wavefunction(P_INV, Branch.MINUS).coeffs[1]
+        assert c1 == pytest.approx(0.014379674853336947, rel=1e-10)
+        assert abs(c1 - self.seed_at_closed_form(P_INV, minus)) <= 1e-12
+        c1_plus = ground_state_wavefunction(P_INV, Branch.PLUS).coeffs[1]
+        assert c1_plus == pytest.approx(-0.34771300818667034, rel=1e-10)
+        assert abs(c1_plus - self.seed_at_closed_form(P_INV, plus)) <= 1e-12
 
     def test_oscillator_first_coefficient_frozen(self):
         # (-9 +/- sqrt(48)) / 6; the minus energy branch takes the plus
         # sign in front of the square root.
-        audit = ground_state_wavefunction(P_OSC, Branch.MINUS)
-        assert audit.c1_closed_form == pytest.approx(
-            -0.34529946162074854, rel=1e-13
-        )
-        audit_plus = ground_state_wavefunction(P_OSC, Branch.PLUS)
-        assert audit_plus.c1_closed_form == pytest.approx(
-            -2.6547005383792515, rel=1e-13
-        )
+        minus, plus = ground_state_closed_form(P_OSC)
+        c1 = ground_state_wavefunction(P_OSC, Branch.MINUS).coeffs[1]
+        assert c1 == pytest.approx(-0.34529946162074854, rel=1e-13)
+        assert abs(c1 - self.seed_at_closed_form(P_OSC, minus)) <= 1e-12
+        c1_plus = ground_state_wavefunction(P_OSC, Branch.PLUS).coeffs[1]
+        assert c1_plus == pytest.approx(-2.6547005383792515, rel=1e-13)
+        assert abs(c1_plus - self.seed_at_closed_form(P_OSC, plus)) <= 1e-12
 
     def test_analytic_route_uses_its_own_gaussian_rate(self):
         # The degree-1 analytic solution decays at M*omega0*beta/2; the
         # recurrence-backed solutions decay at M*omega0*beta**2/2.  Both
         # rates must stay visible, neither silently replaces the other.
-        audit = ground_state_wavefunction(P_OSC, Branch.MINUS)
-        assert audit.solution.gauss_factor == 0.5
+        sol = ground_state_wavefunction(P_OSC, Branch.MINUS)
+        assert sol.gauss_factor == 0.5
+        minus = ground_state_closed_form(P_OSC)[0]
+        assert abs(sol.coeffs[1] - self.seed_at_closed_form(P_OSC, minus)) <= 1e-12
         lo = truncation_solve(P_OSC, 1)[0]
         assert level_series(P_OSC, lo).gauss_factor == 0.25
 
@@ -276,27 +281,38 @@ class TestClosedForm:
 class TestComparison:
     @pytest.mark.parametrize("p", [P_OSC, P_INV], ids=["osc", "invsq"])
     def test_frozen_sets_are_discrepant_documented(self, p):
-        cmp = compare_closed_form_vs_truncation(p)
-        assert cmp.existence == "both-populated"
-        assert len(cmp.pairs) == 2
-        for pair in cmp.pairs:
-            assert pair.label == "DISCREPANT-DOCUMENTED"
-            assert pair.rel_diff > 1e-8
+        roots = [lv.spectral for lv in truncation_solve(p, 1)]
+        closed = ground_state_closed_form(p)
+        assert len(roots) == len(closed) == 2
+        for lv in closed:
+            near = min(roots, key=lambda t: abs(t - lv.spectral))
+            rel = abs(near - lv.spectral) / max(1.0, abs(near), abs(lv.spectral))
+            assert rel > 1e-8
+        text = _audit_text(p, 1e-8)
+        assert text.count("-> DISCREPANT-DOCUMENTED") == 2
+        assert "existence: both-populated" in text
+
+    def test_verify_detail_prints_the_first_discrepant_set(self):
+        check = check_closed_form_audit(np.random.default_rng(1), fast=True)
+        assert check.status == "DISCREPANT-DOCUMENTED"
+        first, *report = check.detail.splitlines()
+        assert first == "0 AGREE, 32 DISCREPANT over 16 parameter sets"
+        assert report[0] == "closed-form audit (oscillator model)"
+        assert report[1].startswith("  truncation quadratic: (")
 
     def test_report_prints_full_quadratic(self):
-        cmp = compare_closed_form_vs_truncation(P_OSC)
-        text = cmp.to_text()
-        a, b, c = cmp.quadratic
-        for coeff in (a, b, c):
-            assert f"{coeff:.17g}" in text
+        text = _audit_text(P_OSC, 1e-8)
+        for coeff in lambda_polynomials(P_OSC, 2).entry(2):
+            assert f"({coeff:.17g})" in text
+        for lv in truncation_solve(P_OSC, 1) + ground_state_closed_form(P_OSC):
+            assert f"{lv.spectral:.17g}" in text
         assert "DISCREPANT-DOCUMENTED" in text
 
     def test_oscillator_quadratic_coefficients(self):
         # entry(2) of the polynomial table for the frozen oscillator set,
         # descending order; proportional to t^2 - 28 t + 84 in the scaled
         # variable.
-        cmp = compare_closed_form_vs_truncation(P_OSC)
-        a, b, c = cmp.quadratic
+        c, b, a = lambda_polynomials(P_OSC, 2).entry(2)
         assert a == pytest.approx(0.00052083333333333333, rel=1e-13)
         assert b == pytest.approx(-0.014583333333333332, rel=1e-13)
         assert c == pytest.approx(0.043749999999999997, rel=1e-13)
@@ -313,14 +329,16 @@ class TestComparison:
             ell=1,
             flux=0.25,
         )
-        cmp = compare_closed_form_vs_truncation(p)
-        assert cmp.truncation == ()
-        assert cmp.closed == ()
-        assert cmp.existence == "both-empty"
-        assert cmp.closed_empty_reason is not None
+        assert truncation_solve(p, 1) == []
+        with pytest.raises(NegativeDiscriminantError):
+            ground_state_closed_form(p)
 
 
 class TestPeriodicity:
+    @staticmethod
+    def shifted(p, nu):
+        return dataclasses.replace(p, flux=p.flux + nu), dataclasses.replace(p, ell=p.ell - nu)
+
     def test_closed_form_energy_invariant_under_integer_shift(self):
         # iota = 4 at the baseline keeps every shifted point (iota = 3,
         # 2, 1) inside the region where the closed-form pair is real.
@@ -334,26 +352,19 @@ class TestPeriodicity:
             flux=0.75,
         )
         for nu in (1, 2, 3):
-            chk = ab_periodicity_check(p, nu)
-            assert chk.abs_diff <= 1e-12
+            by_flux, by_ell = self.shifted(p, nu)
+            lhs = ground_state_closed_form(by_flux)[0].energy
+            rhs = ground_state_closed_form(by_ell)[0].energy
+            assert abs(lhs - rhs) <= 1e-12
 
     def test_truncation_energy_invariant_under_integer_shift(self):
         p = PhysicalParams(
             model=Model.INVERSE_SQUARE, mass=1.0, beta=0.5, k=0.4, ell=3
         )
-
-        def lowest_truncation_energy(q):
-            return truncation_solve(q, 1)[0].energy
-
-        chk = ab_periodicity_check(p, 1, lowest_truncation_energy)
-        assert chk.abs_diff <= 1e-12
-        assert chk.flux_shifted_energy == pytest.approx(
-            chk.ell_shifted_energy, abs=1e-12
-        )
-
-    def test_nu_must_be_an_integer(self):
-        with pytest.raises(ValueError, match="integer"):
-            ab_periodicity_check(P_OSC, 1.5)
+        by_flux, by_ell = self.shifted(p, 1)
+        lhs = truncation_solve(by_flux, 1)[0].energy
+        rhs = truncation_solve(by_ell, 1)[0].energy
+        assert abs(lhs - rhs) <= 1e-12
 
 
 class TestLevelSeries:
@@ -380,7 +391,7 @@ class TestLevelSeries:
         sol = level_series(P_OSC, lv)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert eval_psi_x(sol, 1.5) != 0.0
+            assert eval_psi_x_derivatives(sol, 1.5)[0] != 0.0
 
 
 class TestJson:
