@@ -11,14 +11,11 @@ from .oracle import (
     GridMode,
     GridSpec,
     OracleAccuracyError,
-    OracleReport,
     OracleResult,
     effective_potential,
     flat_exact_spectrum,
     oracle_csv,
     oracle_eigenvalues,
-    oracle_vs_closed_form_report,
-    separation_residual,
 )
 from .params import (
     DerivedParams,
@@ -36,7 +33,6 @@ from .series import (
     ResidualReport,
     SeriesOverflowError,
     SeriesSolution,
-    changeofvar_consistency,
     eval_psi_x_derivatives,
     series_coefficients,
     series_residual,
@@ -81,7 +77,6 @@ __all__ = [
     "series_coefficients",
     "eval_psi_x_derivatives",
     "series_residual",
-    "changeofvar_consistency",
     "Branch",
     "EnergyLevel",
     "LambdaPolynomialTable",
@@ -97,13 +92,10 @@ __all__ = [
     "GridMode",
     "GridSpec",
     "OracleResult",
-    "OracleReport",
     "OracleAccuracyError",
     "effective_potential",
     "oracle_eigenvalues",
     "flat_exact_spectrum",
-    "separation_residual",
-    "oracle_vs_closed_form_report",
     "oracle_csv",
     "SweepSpec",
     "SweepRow",

@@ -5,10 +5,10 @@ a single library call, so CLI output equals direct API output bit for
 bit.  Commands: energy, sweep, oracle, verify, wavefunction.
 
 Exit codes: 0 success, 1 invalid input (including malformed flags, flags
-a command does not read, parameters whose squares overflow, and grids too
-coarse for the accuracy gate), 2 when no real level exists for the
-requested parameters, 3 when the truncation order is too high for its
-polynomial roots to be trusted.
+a command does not read, parameters whose squares or energies overflow,
+and grids too coarse for the accuracy gate), 2 when no real level exists
+for the requested parameters, 3 when the truncation order is too high for
+its polynomial roots to be trusted.
 Expected failures print a machine-readable JSON object on standard error,
 never a stack trace.
 """
@@ -27,9 +27,10 @@ from .oracle import (
     GridMode,
     GridSpec,
     OracleAccuracyError,
+    OracleResult,
+    flat_exact_spectrum,
     oracle_csv,
     oracle_eigenvalues,
-    oracle_vs_closed_form_report,
 )
 from .params import InvalidParameterError, Model, PhysicalParams
 from .series import eval_psi_x_derivatives
@@ -214,11 +215,45 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         )
     _emit(oracle_csv(results), args.out)
     if args.report:
-        report = oracle_vs_closed_form_report(
-            p, n_points=args.points, n_eigs=args.neigs, residual_tol=args.residual_tol
-        )
-        print(report.to_text(), file=sys.stderr)
+        print(_oracle_report(p, results), file=sys.stderr)
     return 0
+
+
+def _oracle_report(p: PhysicalParams, results: list[OracleResult]) -> str:
+    """The grids just solved, lined up with the n = 1 predictions at ``p``.
+
+    Pure juxtaposition: the report adjudicates nothing.  It lists each
+    grid, the exact flat ladder where a flat grid was solved for the
+    oscillator, and each closed-form level and truncation root with its
+    nearest eigenvalue on every outer and core grid.
+    """
+    lines = [f"oracle report ({p.model.value} model)"]
+    for result in results:
+        vals = ", ".join(f"{v:.10g}" for v in result.eigenvalues)
+        lines.append(
+            f"  {result.mode.value:5s} grid ({result.r_min:.6g}, {result.r_max:.6g}), "
+            f"n = {result.n_points}: [{vals}]"
+        )
+    flat = [result for result in results if result.mode is GridMode.FLAT]
+    if flat and p.model is Model.OSCILLATOR:
+        exact = (flat_exact_spectrum(p, i) for i in range(len(flat[0].eigenvalues)))
+        lines.append(f"  flat exact:            [{', '.join(f'{v:.10g}' for v in exact)}]")
+    predictions = []
+    try:
+        closed = ground_state_closed_form(p)
+        predictions = [(f"closed-{lv.branch.value}", lv.spectral) for lv in closed]
+    except NegativeDiscriminantError as exc:
+        lines.append(f"  closed form: none (negative discriminant ({exc.discriminant:.17g}))")
+    roots = truncation_solve(p, 1)
+    predictions += [(f"truncation-{i}", lv.spectral) for i, lv in enumerate(roots)]
+    for source, value in predictions:
+        line = f"  {source}: {value:.10g}"
+        for result in results:
+            if result.mode is not GridMode.FLAT:
+                near = float(min(result.eigenvalues, key=lambda v: abs(v - value)))
+                line += f" | nearest {result.mode.value} {near:.10g} (dist {abs(near - value):.3e})"
+        lines.append(line)
+    return "\n".join(lines)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -227,8 +262,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _emit(report.to_json(), args.out)
     else:
         _emit(report.to_text(), args.out)
-        if args.out not in (None, "-"):
-            print(report.to_text())
     return 0 if report.overall_pass else 1
 
 
@@ -367,7 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InvalidParameterError, ValueError) as exc:
         _error_json("invalid-input", str(exc))
         return 1
-    except OverflowError as exc:  # a parameter so large that its square leaves the float range
+    except OverflowError as exc:  # a square or an energy leaves the float range
         _error_json("invalid-input", f"overflow at these parameters: {exc}")
         return 1
 

@@ -1,4 +1,4 @@
-"""Differential-operator evaluators shared by the series and oracle checks.
+"""Differential-operator evaluators for the series and the operator-identity checks.
 
 Everything here works pointwise on analytic probe functions, so tests can
 verify operator identities without any discretisation error.
@@ -90,7 +90,7 @@ def transformed_lhs(
 
     For a probe ``f(x(r))`` this equals ``beta^2`` times :func:`radial_lhs`
     applied to the same probe as a function of ``r`` (see
-    ``series.changeofvar_consistency``).
+    ``verify.changeofvar_consistency``).
     """
     if x <= 0:
         raise ValueError(f"x must be positive: got {x}")

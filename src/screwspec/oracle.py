@@ -1,7 +1,10 @@
 """Finite-difference oracle for the radial problem.
 
 Everything here is an independent measurement route: no series, no
-recurrence, no closed forms.  The radial equation is brought to
+recurrence, no closed forms.  The module imports nothing from the
+package but :mod:`screwspec.params`, so the grid never sees the other
+routes; lining its eigenvalues up against theirs is the CLI's
+``oracle --report``.  The radial equation is brought to
 Liouville normal form with ``psi = |r^2 - beta^2|^(-1/4) u``, giving
 
     -u'' + U(r) u = spectral * u,
@@ -29,7 +32,6 @@ silently wrong numbers.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,32 +40,16 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .operators import Probe, radial_lhs
-from .params import (
-    InvalidParameterError,
-    Model,
-    PhysicalParams,
-    derive_params,
-    energy_to_spectral,
-)
-from .spectrum import (
-    EnergyLevel,
-    NegativeDiscriminantError,
-    ground_state_closed_form,
-    truncation_solve,
-)
+from .params import InvalidParameterError, Model, PhysicalParams, derive_params
 
 __all__ = [
     "GridMode",
     "GridSpec",
     "OracleResult",
-    "OracleReport",
     "OracleAccuracyError",
     "effective_potential",
     "oracle_eigenvalues",
     "flat_exact_spectrum",
-    "separation_residual",
-    "oracle_vs_closed_form_report",
     "oracle_csv",
 ]
 
@@ -338,162 +324,6 @@ def flat_exact_spectrum(p: PhysicalParams, n_r: int) -> float:
         raise InvalidParameterError(f"n_r must be >= 0: got {n_r}")
     s = math.sqrt((p.ell - p.flux) ** 2 + 2.0 * p.mass * p.gamma)
     return 2.0 * p.mass * p.omega0 * (2 * n_r + 1 + s)
-
-
-def separation_residual(
-    p: PhysicalParams,
-    energy: float,
-    probe: Probe,
-    r: float,
-    angle: float = 0.7,
-    z: float = 0.3,
-) -> float:
-    """Mismatch between the full 3-d stationary equation and the radial one.
-
-    The 3-d side is assembled from the raw inverse-metric components of
-    the dislocated medium (g^rr = 1, g^phiphi = 1/(r^2-b^2),
-    g^phiz = -b/(r^2-b^2), g^zz = r^2/(r^2-b^2), volume factor r/(r^2-b^2)
-    in the radial first-derivative term), with the phases acting
-    analytically (d_phi -> i(ell - flux) after minimal coupling,
-    d_z -> i k) and the rotation operator i Omega (D_phi - beta d_z).
-    The radial side is :func:`operators.radial_lhs` at the spectral value
-    2 M (E - delta + Omega iota) - k^2 times the same phase.  The two
-    agree identically for every energy; the returned normalised modulus
-    is rounding noise unless the composition iota = ell - flux - beta*k
-    is broken somewhere.
-    """
-    if r <= 0:
-        raise ValueError(f"r must be positive: got {r}")
-    g = r * r - p.beta * p.beta
-    if g == 0:
-        raise ValueError(f"r must differ from beta = {p.beta}")
-    lm = p.ell - p.flux
-    f, d1, d2 = probe.f(r), probe.df(r), probe.d2f(r)
-    phase = cmath.exp(1j * (p.ell * angle + p.k * z))
-    angular = -(lm * lm - 2.0 * p.beta * lm * p.k + p.k * p.k * r * r) / g
-    kinetic = -(d2 + (r / g) * d1 + angular * f) / (2.0 * p.mass)
-    rotation = 1j * p.Omega * (1j * lm - 1j * p.beta * p.k) * f
-    potential = (
-        0.5 * p.mass * p.omega0**2 * r**2 + p.gamma / r**2 + p.delta - energy
-    ) * f
-    lhs3d = (kinetic + rotation + potential) * phase
-    spectral = energy_to_spectral(p, energy)
-    radial = radial_lhs(p, spectral.value, r, f, d1, d2)
-    target = -(phase * radial) / (2.0 * p.mass)
-    scale = max(
-        1.0,
-        abs(kinetic) + abs(rotation) + abs(potential),
-        abs(radial) / (2.0 * p.mass),
-    )
-    return abs(lhs3d - target) / scale
-
-
-@dataclass(frozen=True)
-class MatchRecord:
-    """Distance of one predicted spectral value to the oracle lists."""
-
-    source: str
-    spectral: float
-    nearest_outer: float
-    dist_outer: float
-    nearest_core: float
-    dist_core: float
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Side-by-side dump of predictions and oracle spectra.
-
-    Pure juxtaposition: the report adjudicates nothing, it lines up the
-    closed forms, the truncation roots, and the grid eigenvalues so a
-    reader can see where each number falls.
-    """
-
-    params: PhysicalParams
-    closed: tuple[EnergyLevel, ...]
-    closed_empty_reason: str | None
-    truncation: tuple[EnergyLevel, ...]
-    outer: OracleResult
-    core: OracleResult
-    flat: OracleResult
-    flat_exact: tuple[float, ...] | None
-    matches: tuple[MatchRecord, ...]
-
-    def to_text(self) -> str:
-        lines = [f"oracle report ({self.params.model.value} model)"]
-        for result in (self.outer, self.core, self.flat):
-            vals = ", ".join(f"{v:.10g}" for v in result.eigenvalues)
-            lines.append(
-                f"  {result.mode.value:5s} grid ({result.r_min:.6g}, {result.r_max:.6g}), "
-                f"n = {result.n_points}: [{vals}]"
-            )
-        if self.flat_exact is not None:
-            vals = ", ".join(f"{v:.10g}" for v in self.flat_exact)
-            lines.append(f"  flat exact:            [{vals}]")
-        if self.closed_empty_reason:
-            lines.append(f"  closed form: none ({self.closed_empty_reason})")
-        for rec in self.matches:
-            lines.append(
-                f"  {rec.source}: {rec.spectral:.10g} | nearest outer "
-                f"{rec.nearest_outer:.10g} (dist {rec.dist_outer:.3e}) | nearest core "
-                f"{rec.nearest_core:.10g} (dist {rec.dist_core:.3e})"
-            )
-        return "\n".join(lines)
-
-
-def oracle_vs_closed_form_report(
-    p: PhysicalParams,
-    n_points: int = DEFAULT_POINTS,
-    n_eigs: int = 5,
-    residual_tol: float | None = DEFAULT_RESIDUAL_TOL,
-) -> OracleReport:
-    """Run all three default grids and line the results up with predictions."""
-    outer = oracle_eigenvalues(
-        p, GridSpec.default(GridMode.OUTER, p, n_points), n_eigs, residual_tol
-    )
-    core = oracle_eigenvalues(
-        p, GridSpec.default(GridMode.CORE, p, n_points), n_eigs, residual_tol
-    )
-    flat = oracle_eigenvalues(
-        p, GridSpec.default(GridMode.FLAT, p, n_points), n_eigs, residual_tol
-    )
-    flat_exact = None
-    if p.model is Model.OSCILLATOR:
-        flat_exact = tuple(flat_exact_spectrum(p, i) for i in range(n_eigs))
-    closed: tuple[EnergyLevel, ...] = ()
-    reason = None
-    try:
-        closed = tuple(ground_state_closed_form(p))
-    except NegativeDiscriminantError as exc:
-        reason = f"negative discriminant ({exc.discriminant:.17g})"
-    trunc = tuple(truncation_solve(p, 1))
-    matches = []
-    for source, value in [
-        (f"closed-{lv.branch.value}", lv.spectral) for lv in closed
-    ] + [(f"truncation-{i}", lv.spectral) for i, lv in enumerate(trunc)]:
-        no = min(outer.eigenvalues, key=lambda v: abs(v - value))
-        nc = min(core.eigenvalues, key=lambda v: abs(v - value))
-        matches.append(
-            MatchRecord(
-                source=source,
-                spectral=value,
-                nearest_outer=float(no),
-                dist_outer=abs(float(no) - value),
-                nearest_core=float(nc),
-                dist_core=abs(float(nc) - value),
-            )
-        )
-    return OracleReport(
-        params=p,
-        closed=closed,
-        closed_empty_reason=reason,
-        truncation=trunc,
-        outer=outer,
-        core=core,
-        flat=flat,
-        flat_exact=flat_exact,
-        matches=tuple(matches),
-    )
 
 
 def oracle_csv(results: Iterable[OracleResult] | Sequence[OracleResult]) -> str:

@@ -206,7 +206,8 @@ def spectral_to_energy(p: PhysicalParams, spectral: SpectralParameter | float) -
 
     ``E = k^2/(2 mass) + spectral/(2 mass) + delta - Omega * iota``.
     Accepts a bare float or a :class:`SpectralParameter`; a tagged value whose
-    model disagrees with ``p.model`` is rejected.
+    model disagrees with ``p.model`` is rejected.  Raises ``OverflowError``
+    where a finite spectral value gives a non-finite energy.
     """
     if isinstance(spectral, SpectralParameter):
         if spectral.model is not p.model:
@@ -218,7 +219,10 @@ def spectral_to_energy(p: PhysicalParams, spectral: SpectralParameter | float) -
     else:
         value = float(spectral)
     d = derive_params(p)
-    return (p.k**2 + value) / (2.0 * p.mass) + p.delta - p.Omega * d.iota
+    energy = (p.k**2 + value) / (2.0 * p.mass) + p.delta - p.Omega * d.iota
+    if math.isfinite(value) and not math.isfinite(energy):
+        raise OverflowError(f"the energy at spectral value {value!r} leaves the float range")
+    return energy
 
 
 def energy_to_spectral(p: PhysicalParams, energy: float) -> SpectralParameter:

@@ -26,7 +26,10 @@ code path applies.
 
 The alternate denominator d3(i) = (i + 3/2 + j)(i + 2) is inconsistent
 with the seed row above; it lives only in the ``verify`` audit, which
-measures its O(1) operator residual.
+measures its O(1) operator residual.  The residual here applies the
+x-space operator :func:`operators.transformed_lhs`; that it equals the
+radial operator after the change of variable is also audited in
+``verify``, not here.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .operators import Probe, radial_lhs, transformed_lhs
+from .operators import transformed_lhs
 from .params import (
     Model,
     PhysicalParams,
@@ -54,7 +57,6 @@ __all__ = [
     "series_coefficients",
     "eval_psi_x_derivatives",
     "series_residual",
-    "changeofvar_consistency",
 ]
 
 OVERFLOW_LIMIT = 1e300
@@ -233,38 +235,3 @@ def series_residual(
         max_residual=max(res),
         n_terms=len(sol.coeffs) - 1,
     )
-
-
-def changeofvar_consistency(
-    p: PhysicalParams,
-    spectral_value: float,
-    probe: Probe,
-    r: float,
-) -> float:
-    """Mismatch between the radial operator and its x-space form on a probe.
-
-    The probe is a function of x; composing with ``x(r) = r^2/beta^2``
-    and applying the chain rule, the transformed operator must equal
-    ``beta^2`` times the radial one.  Returns the normalised absolute
-    mismatch (zero to rounding for any twice-differentiable probe).
-    Requires ``r > 0`` with ``|r - beta| >= 1e-6``.
-    """
-    if r <= 0:
-        raise ValueError(f"r must be positive: got {r}")
-    if abs(r - p.beta) < 1e-6:
-        raise ValueError(
-            f"r = {r} is within 1e-6 of the dislocation radius beta = {p.beta}"
-        )
-    x = r**2 / p.beta**2
-    fx, dfx, d2fx = probe.f(x), probe.df(x), probe.d2f(x)
-    # chain rule: d/dr = (2r/beta^2) d/dx
-    dxdr = 2.0 * r / p.beta**2
-    psi = fx
-    dpsi = dfx * dxdr
-    d2psi = d2fx * dxdr**2 + dfx * 2.0 / p.beta**2
-    radial = radial_lhs(p, spectral_value, r, psi, dpsi, d2psi)
-    trans = transformed_lhs(p, spectral_value, x, fx, dfx, d2fx)
-    diff = abs(trans - p.beta**2 * radial)
-    scale = max(1.0, abs(trans), abs(p.beta**2 * radial))
-    return diff / scale
-

@@ -366,7 +366,8 @@ class N1Levels:
     every point.  ``fault`` marks points where the one-point routes raise
     (:func:`ground_state_closed_form`, :func:`truncation_solve`): the
     polynomial table loses a degree, a square overflows, the companion
-    matrix is not finite, or a root fails the backward-error bound.
+    matrix is not finite, a root fails the backward-error bound, or a
+    level's energy leaves the float range.
     """
 
     discriminant: np.ndarray
@@ -506,6 +507,7 @@ def n1_levels(
         spectral = np.where(present, roots, np.nan)
         defect, c1_over_c0 = _diagnostics(table, 1, spectral)
         energy = (k2 + spectral) / (2.0 * mass) + f["delta"] - f["Omega"] * iota
+        fault |= (present & np.isfinite(spectral) & ~np.isfinite(energy)).any(axis=0)
     return N1Levels(
         discriminant=disc,
         present=present.T,
@@ -529,11 +531,14 @@ def ground_state_closed_form(p: PhysicalParams) -> list[EnergyLevel]:
     pair = n1_levels(p, "closed-form")
     if pair.fault[0]:
         # raise what the scalar steps raise, in their order: Python's float
-        # ** on the closed form's squares, the polynomial table, then k**2
+        # ** on the closed form's squares, the polynomial table, k**2, then
+        # each level's energy
         derive_params(p).iota ** 2
         _closed_form_rate(p) ** 2
         lambda_polynomials(p, 3)
         p.k ** 2
+        for spectral in pair.spectral[0, pair.present[0]].tolist():
+            spectral_to_energy(p, spectral)
         raise OverflowError("the n = 1 closed form overflows at these parameters")
     disc = float(pair.discriminant[0])
     if not pair.present[0, 0]:

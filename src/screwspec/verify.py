@@ -13,10 +13,18 @@ tolerance.  Statuses:
 
 Randomised checks draw from a seeded generator, so a report is exactly
 reproducible from its ``seed`` field.
+
+The audits have no other caller, so they live here rather than in the
+modules they audit: the alternate recurrence denominator, the closed-form
+and flux-periodicity comparisons, and the two operator identities,
+:func:`changeofvar_consistency` (radial operator against its x-space
+form) and :func:`separation_residual` (full 3-d equation against the
+radial one).
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -26,22 +34,21 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import gaussian_probe
-from .oracle import (
-    GridMode,
-    GridSpec,
-    flat_exact_spectrum,
-    oracle_eigenvalues,
-    separation_residual,
+from .operators import Probe, gaussian_probe, radial_lhs, transformed_lhs
+from .oracle import GridMode, GridSpec, flat_exact_spectrum, oracle_eigenvalues
+from .params import (
+    Model,
+    PhysicalParams,
+    SpectralParameter,
+    derive_params,
+    energy_to_spectral,
 )
-from .params import Model, PhysicalParams, SpectralParameter, derive_params
 from .series import (
     OVERFLOW_LIMIT,
     SeriesOverflowError,
     SeriesSolution,
     _seed,
     _triple,
-    changeofvar_consistency,
     series_coefficients,
     series_residual,
 )
@@ -259,6 +266,40 @@ def check_series_residual_alternate(
     return _run("series-residual-alternate-denominator", tol, body)
 
 
+def changeofvar_consistency(
+    p: PhysicalParams,
+    spectral_value: float,
+    probe: Probe,
+    r: float,
+) -> float:
+    """Mismatch between the radial operator and its x-space form on a probe.
+
+    The probe is a function of x; composing with ``x(r) = r^2/beta^2``
+    and applying the chain rule, the transformed operator must equal
+    ``beta^2`` times the radial one.  Returns the normalised absolute
+    mismatch (zero to rounding for any twice-differentiable probe).
+    Requires ``r > 0`` with ``|r - beta| >= 1e-6``.
+    """
+    if r <= 0:
+        raise ValueError(f"r must be positive: got {r}")
+    if abs(r - p.beta) < 1e-6:
+        raise ValueError(
+            f"r = {r} is within 1e-6 of the dislocation radius beta = {p.beta}"
+        )
+    x = r**2 / p.beta**2
+    fx, dfx, d2fx = probe.f(x), probe.df(x), probe.d2f(x)
+    # chain rule: d/dr = (2r/beta^2) d/dx
+    dxdr = 2.0 * r / p.beta**2
+    psi = fx
+    dpsi = dfx * dxdr
+    d2psi = d2fx * dxdr**2 + dfx * 2.0 / p.beta**2
+    radial = radial_lhs(p, spectral_value, r, psi, dpsi, d2psi)
+    trans = transformed_lhs(p, spectral_value, x, fx, dfx, d2fx)
+    diff = abs(trans - p.beta**2 * radial)
+    scale = max(1.0, abs(trans), abs(p.beta**2 * radial))
+    return diff / scale
+
+
 def check_changeofvar(rng: np.random.Generator, fast: bool = False) -> CheckResult:
     """Radial operator vs its x-space form on random analytic probes."""
     tol = 1e-10
@@ -283,6 +324,54 @@ def check_changeofvar(rng: np.random.Generator, fast: bool = False) -> CheckResu
         return status, worst, f"{draws} (params, probe, r) draws"
 
     return _run("change-of-variable", tol, body)
+
+
+def separation_residual(
+    p: PhysicalParams,
+    energy: float,
+    probe: Probe,
+    r: float,
+    angle: float = 0.7,
+    z: float = 0.3,
+) -> float:
+    """Mismatch between the full 3-d stationary equation and the radial one.
+
+    The 3-d side is assembled from the raw inverse-metric components of
+    the dislocated medium (g^rr = 1, g^phiphi = 1/(r^2-b^2),
+    g^phiz = -b/(r^2-b^2), g^zz = r^2/(r^2-b^2), volume factor r/(r^2-b^2)
+    in the radial first-derivative term), with the phases acting
+    analytically (d_phi -> i(ell - flux) after minimal coupling,
+    d_z -> i k) and the rotation operator i Omega (D_phi - beta d_z).
+    The radial side is :func:`operators.radial_lhs` at the spectral value
+    2 M (E - delta + Omega iota) - k^2 times the same phase.  The two
+    agree identically for every energy; the returned normalised modulus
+    is rounding noise unless the composition iota = ell - flux - beta*k
+    is broken somewhere.
+    """
+    if r <= 0:
+        raise ValueError(f"r must be positive: got {r}")
+    g = r * r - p.beta * p.beta
+    if g == 0:
+        raise ValueError(f"r must differ from beta = {p.beta}")
+    lm = p.ell - p.flux
+    f, d1, d2 = probe.f(r), probe.df(r), probe.d2f(r)
+    phase = cmath.exp(1j * (p.ell * angle + p.k * z))
+    angular = -(lm * lm - 2.0 * p.beta * lm * p.k + p.k * p.k * r * r) / g
+    kinetic = -(d2 + (r / g) * d1 + angular * f) / (2.0 * p.mass)
+    rotation = 1j * p.Omega * (1j * lm - 1j * p.beta * p.k) * f
+    potential = (
+        0.5 * p.mass * p.omega0**2 * r**2 + p.gamma / r**2 + p.delta - energy
+    ) * f
+    lhs3d = (kinetic + rotation + potential) * phase
+    spectral = energy_to_spectral(p, energy)
+    radial = radial_lhs(p, spectral.value, r, f, d1, d2)
+    target = -(phase * radial) / (2.0 * p.mass)
+    scale = max(
+        1.0,
+        abs(kinetic) + abs(rotation) + abs(potential),
+        abs(radial) / (2.0 * p.mass),
+    )
+    return abs(lhs3d - target) / scale
 
 
 def check_separation(rng: np.random.Generator, fast: bool = False) -> CheckResult:

@@ -1,13 +1,17 @@
 """CLI runs whose standard output is pinned in ``data/cli_golden.json``.
 
 The cases cover ``energy`` as JSON and CSV (closed form, truncation at
-n = 1 and n = 3) and ``wavefunction`` (closed form on both branches,
-truncation at n = 3), at one point of each model.  ``tests/test_cli.py``
-compares the output of every case with the recorded bytes.
+n = 1 and n = 3), ``wavefunction`` (closed form on both branches,
+truncation at n = 3) and ``oracle --mode all --report``, at one point of
+each model.  The oracle cases keep standard error as well, where the
+report goes.  ``tests/test_cli.py`` compares the output of every case
+with the recorded bytes.
 
-The recorded file comes from commit 3483a2d, the last one before the
-level CSV writer moved from the CLI into ``spectrum.levels_to_csv``, and
-can be rewritten from any checkout with::
+The ``energy`` and ``wavefunction`` cases come from commit 3483a2d, the
+last one before the level CSV writer moved from the CLI into
+``spectrum.levels_to_csv``; the oracle cases come from commit 9401871,
+the last one before the report moved from ``screwspec.oracle`` into the
+CLI.  The file can be rewritten from any checkout with::
 
     PYTHONPATH=<checkout>/src python tests/cli_golden.py
 """
@@ -53,19 +57,25 @@ def cases() -> dict[str, list[str]]:
         out[f"wavefunction:{model}:truncation-3"] = [
             "wavefunction", *point, *METHODS["truncation-3"], "--xmax", "1.5", *samples,
         ]
+        out[f"oracle:{model}:all-report"] = ["oracle", *point, "--mode", "all", "--report"]
     return out
 
 
-def run(argv: list[str]) -> str:
-    """Standard output of one successful CLI run."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+def record(argv: list[str]) -> str | dict[str, str]:
+    """What the golden file keeps of one successful CLI run.
+
+    Standard output, or for an oracle case ``{"stdout": ..., "stderr": ...}``.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"exit {code}: {' '.join(argv)}")
-    return buffer.getvalue()
+    if argv[0] == "oracle":
+        return {"stdout": out.getvalue(), "stderr": err.getvalue()}
+    return out.getvalue()
 
 
 if __name__ == "__main__":
-    golden = {name: run(argv) for name, argv in cases().items()}
+    golden = {name: record(argv) for name, argv in cases().items()}
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")

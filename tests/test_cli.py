@@ -166,15 +166,21 @@ class TestBadInput:
 
 
 class TestOverflow:
-    # squaring a flux of 1e160 leaves the float range
+    # squaring a flux of 1e160 leaves the float range, and so does an energy
+    # of delta - Omega iota = 2e308
     @pytest.mark.parametrize(
         "argv",
         [
             ["energy", "--flux", "1e160"],
             ["sweep", "--param", "flux", "--from", "1e160", "--to", "1e161", "--steps", "11",
              "--method", "truncation"],
+            ["energy", *OSC_ARGS, "--delta", "1e308", "--Omega=-1e308"],
+            ["energy", *OSC_ARGS, "--delta", "1e308", "--Omega=-1e308", "--method", "truncation",
+             "--format", "csv"],
+            ["sweep", *OSC_ARGS, "--delta", "1e308", "--param", "Omega", "--from=-1e308",
+             "--to=-1.7e308", "--steps", "2", "--format", "json"],
         ],
-        ids=["energy", "sweep"],
+        ids=["energy", "sweep", "energy-sum", "energy-sum-truncation", "sweep-energy-sum"],
     )
     def test_overflow_is_invalid_input(self, capsys, argv):
         code, out, err = run(argv, capsys)
@@ -200,8 +206,10 @@ class TestGolden:
     def test_output_is_byte_identical(self, capsys, name):
         code, out, err = run(self.CASES[name], capsys)
         assert code == 0
-        assert err == ""
-        assert out == self.GOLDEN[name]
+        want = self.GOLDEN[name]
+        if isinstance(want, str):  # standard output alone, nothing on stderr
+            want = {"stdout": want, "stderr": ""}
+        assert {"stdout": out, "stderr": err} == want
 
 
 class TestPerCommandFlags:
@@ -455,6 +463,13 @@ class TestVerify:
         assert code == 0
         assert "series-residual" in out
         assert "PASS" in out
+
+    def test_out_file_is_the_only_output(self, capsys, tmp_path):
+        target = tmp_path / "report.txt"
+        code, out, err = run(["verify", "--fast", "--out", str(target)], capsys)
+        assert code == 0
+        assert (out, err) == ("", "")
+        assert target.read_text().startswith("verification report")
 
     def test_periodicity_baselines_have_truncation_roots(self):
         # seed 7 draws a truncation baseline whose c_2 has no real root at

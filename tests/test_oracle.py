@@ -13,12 +13,10 @@ from screwspec import (
     PhysicalParams,
     effective_potential,
     flat_exact_spectrum,
-    gaussian_probe,
     oracle_csv,
     oracle_eigenvalues,
-    oracle_vs_closed_form_report,
-    separation_residual,
 )
+from screwspec.cli import main
 
 P_OSC = PhysicalParams(
     model=Model.OSCILLATOR,
@@ -237,72 +235,61 @@ class TestEigenvalues:
         assert (g.r_min, g.r_max) == (0.0, 40.0)
 
 
-class TestSeparation:
-    @pytest.mark.parametrize(
-        "p",
-        [
-            PhysicalParams(
-                model=Model.OSCILLATOR,
-                mass=1.0,
-                omega0=2.0,
-                beta=0.5,
-                k=0.5,
-                ell=2,
-                flux=0.75,
-                Omega=0.8,
-                delta=0.3,
-            ),
-            PhysicalParams(
-                model=Model.INVERSE_SQUARE,
-                mass=1.4,
-                beta=0.3,
-                k=0.9,
-                ell=-1,
-                flux=0.6,
-                Omega=-0.4,
-                gamma=0.2,
-            ),
-        ],
-        ids=["osc", "invsq"],
-    )
-    def test_identity_holds_for_any_energy(self, p):
-        probe = gaussian_probe(width=0.8, center=0.9)
-        for energy in (-2.0, 0.0, 1.234):
-            for r in (0.4, 1.1, 2.3):
-                if abs(r - p.beta) < 1e-3:
-                    continue
-                assert separation_residual(p, energy, probe, r) <= 1e-12
-
-    def test_independent_of_the_sample_phase(self):
-        probe = gaussian_probe(width=0.8, center=0.9)
-        for angle, z in ((0.0, 0.0), (1.9, -0.4), (-2.7, 3.1)):
-            res = separation_residual(
-                P_OSC, 1.0, probe, 1.2, angle=angle, z=z
-            )
-            assert res <= 1e-12
-
-    def test_singular_radii_rejected(self):
-        probe = gaussian_probe(width=0.8, center=0.9)
-        with pytest.raises(ValueError, match="positive"):
-            separation_residual(P_OSC, 1.0, probe, 0.0)
-        with pytest.raises(ValueError, match="differ"):
-            separation_residual(P_OSC, 1.0, probe, P_OSC.beta)
-
-
 class TestReport:
-    def test_oscillator_report(self):
-        report = oracle_vs_closed_form_report(P_OSC)
-        assert report.flat_exact is not None and len(report.flat_exact) == 5
-        assert len(report.matches) == 4  # two closed branches, two roots
-        text = report.to_text()
-        assert "oracle report" in text
+    """``oracle --report`` lines up the grids the command itself solved."""
+
+    OSC_ARGS = ["--omega0", "2", "--beta", "0.5", "--k", "0.5", "--ell", "2", "--flux", "0.75"]
+
+    @staticmethod
+    def report(argv, capsys):
+        assert main(["oracle", *argv, "--report"]) == 0
+        return capsys.readouterr().err.splitlines()
+
+    @staticmethod
+    def predictions(lines):
+        return [ln for ln in lines if ln.startswith(("  closed-", "  truncation-"))]
+
+    def test_oscillator_report(self, capsys):
+        lines = self.report(self.OSC_ARGS, capsys)
+        assert lines[0] == "oracle report (oscillator model)"
+        [ladder] = [ln for ln in lines if ln.startswith("  flat exact:")]
+        assert len(ladder.split(",")) == 5
+        predictions = self.predictions(lines)
+        assert len(predictions) == 4  # two closed branches, two roots
+        assert all("nearest outer" in ln and "nearest core" in ln for ln in predictions)
+        text = "\n".join(lines)
         assert "outer" in text and "core" in text and "flat" in text
 
-    def test_inverse_square_report_has_no_flat_ladder(self):
-        report = oracle_vs_closed_form_report(P_INV, n_points=2000, residual_tol=None)
-        assert report.flat_exact is None
-        assert report.closed_empty_reason is None
-        assert len(report.truncation) == 2
+    def test_inverse_square_report_has_no_flat_ladder(self, capsys):
+        argv = ["--model", "inverse-square", "--beta", "0.5", "--k", "0.4", "--ell", "2",
+                "--points", "2000"]
+        lines = self.report(argv, capsys)
+        assert not any(ln.startswith("  flat exact:") for ln in lines)
+        assert not any(ln.startswith("  closed form: none") for ln in lines)
+        assert sum(ln.startswith("  truncation-") for ln in self.predictions(lines)) == 2
+
+    def test_report_follows_the_grid_flags(self, capsys):
+        lines = self.report([*self.OSC_ARGS, "--rmax", "7"], capsys)
+        assert lines[1].startswith("  outer grid (0.500001, 7), n = 4000: [")
+
+    def test_one_mode_report_solves_its_grid_once(self, capsys, monkeypatch):
+        import screwspec.cli as cli_mod
+        import screwspec.oracle as oracle_mod
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].mode)
+            return oracle_eigenvalues(*args, **kwargs)
+
+        # the command and any report helper may reach the solver from either module
+        monkeypatch.setattr(cli_mod, "oracle_eigenvalues", counted)
+        monkeypatch.setattr(oracle_mod, "oracle_eigenvalues", counted)
+        lines = self.report([*self.OSC_ARGS, "--mode", "flat"], capsys)
+        assert calls == [GridMode.FLAT]
+        assert [ln.split(" grid")[0].strip() for ln in lines if " grid (" in ln] == ["flat"]
+        assert len(self.predictions(lines)) == 4
+        assert not any("nearest" in ln for ln in self.predictions(lines))
 
 
 class TestCsv:

@@ -8,10 +8,8 @@ from screwspec import (
     SeriesOverflowError,
     SeriesSolution,
     SpectralParameter,
-    changeofvar_consistency,
     derive_params,
     eval_psi_x_derivatives,
-    gaussian_probe,
     series_coefficients,
     series_residual,
 )
@@ -207,22 +205,3 @@ class TestResidual:
         sol = series_coefficients(P_OSC, spectral(P_OSC, 3.7), 10)
         with pytest.raises(ValueError, match="residual points"):
             series_residual(sol, P_OSC, spectral(P_OSC, 3.7), (bad,))
-
-
-class TestChangeOfVariable:
-    def test_probe_identity_both_models(self):
-        probe = gaussian_probe(width=0.6, center=0.4)
-        for p, value in ((P_OSC, 3.7), (P_INV, -2.0)):
-            for r in (0.2, 0.9, 1.3, 2.0):
-                assert changeofvar_consistency(p, value, probe, r) <= 1e-12
-
-    def test_dislocation_radius_excluded(self):
-        probe = gaussian_probe(width=0.6, center=0.4)
-        with pytest.raises(ValueError, match="dislocation radius"):
-            changeofvar_consistency(P_OSC, 3.7, probe, P_OSC.beta + 1e-9)
-
-    def test_nonpositive_radius_rejected(self):
-        probe = gaussian_probe(width=0.6, center=0.4)
-        with pytest.raises(ValueError, match="positive"):
-            changeofvar_consistency(P_OSC, 3.7, probe, 0.0)
-

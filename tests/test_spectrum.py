@@ -698,12 +698,18 @@ class TestN1Kernel:
     def test_faults_are_where_the_one_point_routes_raise(self, method):
         one_point = ground_state_closed_form if method == "closed-form" else (
             lambda q: truncation_solve(q, 1))
-        for field, values in [("beta", [0.5, 1e-60, 1e-80, 1e-170]), ("flux", [0.75, 1e160])]:
-            fault = n1_levels(P_OSC, method, field, values).fault
+        # at delta = 1e308 the energy overflows once Omega iota < -1e308 (iota = 1)
+        shifted = dataclasses.replace(P_OSC, delta=1e308)
+        for p, field, values in [
+            (P_OSC, "beta", [0.5, 1e-60, 1e-80, 1e-170]),
+            (P_OSC, "flux", [0.75, 1e160]),
+            (shifted, "Omega", [0.0, -1e308]),
+        ]:
+            fault = n1_levels(p, method, field, values).fault
             assert fault.tolist() == [False] + [True] * (len(values) - 1)
             for value in values[1:]:
                 with pytest.raises((TruncationError, OverflowError)):
-                    one_point(dataclasses.replace(P_OSC, **{field: value}))
+                    one_point(dataclasses.replace(p, **{field: value}))
         # the scalar route's own error where a square overflows: Python's float **
         with pytest.raises(OverflowError, match="Numerical result out of range"):
             one_point(dataclasses.replace(P_OSC, flux=1e160))
