@@ -174,6 +174,9 @@ plot "{data}" using 1:4 with linespoints
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.gnuplot and args.format == "json":
+        _error_json("invalid-input", "--gnuplot plots CSV columns; it cannot read --format json")
+        return 1
     p = _params_from(args)
     spec = SweepSpec(
         parameter=args.param,
@@ -336,7 +339,8 @@ def build_parser() -> _Parser:
         "--method", choices=["closed-form", "truncation"], default="closed-form"
     )
     sweep.add_argument(
-        "--gnuplot", default=None, help="also write a gnuplot script stub to this path"
+        "--gnuplot", default=None,
+        help="also write a gnuplot script stub for the CSV output to this path",
     )
     sweep.set_defaults(func=_cmd_sweep)
 

@@ -28,6 +28,12 @@ radial equation and the normalised residual is measured on the interior
 of the grid; residuals above ``residual_tol`` raise
 :class:`OracleAccuracyError` (grid too coarse) rather than returning
 silently wrong numbers.
+
+scipy, which supplies the eigensolver, is imported on the first solve
+and not with the module: ``import screwspec`` and the commands that never
+reach the oracle (``energy``, ``sweep``, ``wavefunction``) need numpy
+alone, and importing ``scipy.linalg`` would more than double their
+start-up time.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .params import InvalidParameterError, Model, PhysicalParams, derive_params
 
@@ -255,6 +260,17 @@ def _residual_norms(
         band = slice(trim, len(res) - trim)
         norms[jcol] = np.linalg.norm(res[band]) / np.linalg.norm(terms[band])
     return norms
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """:func:`scipy.linalg.eigh_tridiagonal`, imported on the first solve.
+
+    ``oracle_eigenvalues`` looks this name up when it runs, so a profiler
+    can replace it on the module to time the eigensolve alone.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 def oracle_eigenvalues(

@@ -284,6 +284,27 @@ class TestSweep:
         assert 'set xlabel "flux"' in text
         assert data.exists()
 
+    def test_gnuplot_refuses_json_data(self, capsys, tmp_path, monkeypatch):
+        # the stub plots CSV columns, which a JSON file does not have
+        import screwspec.cli as cli_mod
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli_mod, "sweep_rows", not_reached)
+        data = tmp_path / "flux.json"
+        script = tmp_path / "flux.gp"
+        code, out, err = run(
+            ["sweep", *OSC_ARGS, "--param", "flux", "--from", "0",
+             "--to", "2", "--steps", "5", "--format", "json", "--out", str(data),
+             "--gnuplot", str(script)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid-input"
+        assert not data.exists() and not script.exists()
+
 
 class TestOracle:
     def test_flat_mode_csv(self, capsys):

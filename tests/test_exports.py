@@ -1,7 +1,11 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -33,3 +37,36 @@ def test_the_oracle_imports_params_alone():
         elif isinstance(node, ast.Import):
             package |= {a.name for a in node.names if a.name.split(".")[0] == "screwspec"}
     assert package == {"params"}
+
+
+COLD_START = textwrap.dedent(
+    """
+    import contextlib, io, sys
+    import screwspec, screwspec.cli
+
+    assert "scipy" not in sys.modules, "import screwspec loaded scipy"
+    point = ["--omega0", "2", "--beta", "0.5", "--k", "0.5", "--ell", "2", "--flux", "0.75"]
+    commands = [
+        ["energy", *point],
+        ["sweep", *point, "--param", "flux", "--from", "0", "--to", "2", "--steps", "41"],
+        ["wavefunction", *point, "--branch", "minus", "--samples", "400"],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert screwspec.cli.main(argv) == 0, argv
+        assert "scipy" not in sys.modules, argv[0] + " loaded scipy"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert screwspec.cli.main(["oracle", "--mode", "flat", *point]) == 0
+    assert "scipy.linalg" in sys.modules, "the oracle solved without scipy"
+    """
+)
+
+
+def test_only_the_oracle_loads_scipy():
+    # scipy.linalg more than doubles the start-up of the commands that need numpy alone
+    path = [str(pathlib.Path(screwspec.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

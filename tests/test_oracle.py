@@ -168,6 +168,25 @@ class TestEigenvalues:
         res = oracle_eigenvalues(p, grid, residual_tol=None)
         assert res.eigenvalues[0] == pytest.approx(2.0, rel=1e-4)
 
+    def test_eigensolve_is_looked_up_on_the_module(self, monkeypatch):
+        # profilers time the eigensolve alone by replacing this module global
+        import screwspec.oracle as oracle_mod
+
+        p = flat_critical()
+        grid = GridSpec.default(GridMode.FLAT, p)
+        plain = oracle_eigenvalues(p, grid)
+        solve = oracle_mod.eigh_tridiagonal
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
+        counted = oracle_eigenvalues(p, grid)
+        assert calls == [(grid.n_points,)]
+        assert counted.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
+
     def test_outer_grid_must_clear_the_dislocation_radius(self):
         grid = GridSpec(mode=GridMode.OUTER, r_min=0.2, r_max=10.0)
         with pytest.raises(InvalidParameterError, match="outer"):
