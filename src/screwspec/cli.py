@@ -4,13 +4,26 @@ Thin veneer over the library: every number printed here is produced by
 a single library call, so CLI output equals direct API output bit for
 bit.  Commands: energy, sweep, oracle, verify, wavefunction.
 
-Exit codes: 0 success, 1 invalid input (including malformed flags, flags
-a command does not read, parameters whose squares or energies overflow,
-and grids too coarse for the accuracy gate), 2 when no real level exists
-for the requested parameters, 3 when the truncation order is too high for
-its polynomial roots to be trusted.
-Expected failures print a machine-readable JSON object on standard error,
-never a stack trace.
+A command either completes or raises; :func:`main` alone turns the
+exception into one JSON object ``{"error": CODE, "message": ...}`` on
+standard error and an exit status, never a stack trace:
+
+=================  ====  ==================================================
+error              exit  when
+=================  ====  ==================================================
+invalid-input      1     a malformed flag, a flag the command does not read,
+                         an invalid parameter, a square or an energy that
+                         overflows, an output path that cannot be written
+grid-too-coarse    1     a finite-difference grid fails the residual gate
+no-real-level      2     no real level at these parameters (a negative
+                         closed-form discriminant also gives
+                         ``"discriminant"``)
+truncation-failed  3     the truncation order is too high for its roots to
+                         be trusted
+=================  ====  ==================================================
+
+Success is exit 0.  ``verify`` also exits 1 when a check fails; its report
+names the check, and no JSON error is printed.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ from .oracle import (
 from .params import InvalidParameterError, Model, PhysicalParams
 from .series import eval_psi_x_derivatives
 from .spectrum import (
-    Branch,
+    EnergyLevel,
     NegativeDiscriminantError,
     TruncationError,
     ground_state_closed_form,
@@ -52,11 +65,18 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the package's error contract (JSON + exit 1)."""
+    """argparse whose errors :func:`main` reports as ``invalid-input``."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        _error_json("invalid-input", message)
-        raise SystemExit(1)
+        raise InvalidParameterError(message)
+
+
+class _NoRealLevel(Exception):
+    """The truncation condition has no real root (``no-real-level``)."""
+
+
+class _ChecksFailed(Exception):
+    """A ``verify`` report holds a failed check (exit 1, no JSON error)."""
 
 
 def _error_json(code: str, message: str, **extra: object) -> None:
@@ -65,13 +85,20 @@ def _error_json(code: str, message: str, **extra: object) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text)
+        _write(out, text)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -104,64 +131,45 @@ def _add_format(parser: argparse.ArgumentParser, default: str) -> None:
     )
 
 
+# the PhysicalParams fields read verbatim from the flag of the same name
+_PARAM_FLAGS = ("mass", "gamma", "delta", "beta", "Omega", "flux", "k", "ell")
+
+
 def _params_from(args: argparse.Namespace) -> PhysicalParams:
     model = Model(args.model)
     omega0 = args.omega0
     if omega0 is None:
         omega0 = 1.0 if model is Model.OSCILLATOR else 0.0
-    return PhysicalParams(
-        model=model,
-        mass=args.mass,
-        omega0=omega0,
-        gamma=args.gamma,
-        delta=args.delta,
-        beta=args.beta,
-        Omega=args.Omega,
-        flux=args.flux,
-        k=args.k,
-        ell=args.ell,
-    )
+    plain = {name: getattr(args, name) for name in _PARAM_FLAGS}
+    return PhysicalParams(model=model, omega0=omega0, **plain)
 
 
-def _cmd_energy(args: argparse.Namespace) -> int:
-    p = _params_from(args)
+def _levels(p: PhysicalParams, args: argparse.Namespace) -> list[EnergyLevel]:
+    """The levels ``energy`` and ``wavefunction`` use: ``--method``, ``--n``, ``--branch``.
+
+    Raises where there are none.  A branch is the level with that label,
+    or else (roots past n = 1 carry none) the lowest for ``minus`` and the
+    highest for ``plus``.
+    """
     if args.method == "closed-form":
         if args.n != 1:
-            _error_json("invalid-input", "the closed form covers n = 1 only")
-            return 1
-        try:
-            levels = ground_state_closed_form(p)
-        except NegativeDiscriminantError as exc:
-            _error_json(
-                "no-real-level",
-                f"negative discriminant: {exc}",
-                discriminant=exc.discriminant,
-            )
-            return 2
+            raise InvalidParameterError("the closed form covers n = 1 only")
+        levels = ground_state_closed_form(p)
     else:
         levels = truncation_solve(p, args.n)
         if not levels:
-            _error_json(
-                "no-real-level",
-                f"the order-{args.n} truncation condition has no real root "
-                "at these parameters",
+            raise _NoRealLevel(
+                f"the order-{args.n} truncation condition has no real root at these parameters"
             )
-            return 2
-    if args.branch != "all":
-        picked = [lv for lv in levels if lv.branch is not None and lv.branch.value == args.branch]
-        if not picked and levels:
-            # n >= 2 roots carry no branch label; fall back to position
-            idx = 0 if args.branch == "minus" else len(levels) - 1
-            picked = [levels[idx]]
-        levels = picked
-    if not levels:
-        _error_json("no-real-level", f"no {args.branch}-branch level here")
-        return 2
-    if args.format == "csv":
-        _emit(levels_to_csv(levels), args.out)
-    else:
-        _emit(levels_to_json(levels), args.out)
-    return 0
+    if args.branch == "all":
+        return levels
+    labelled = [lv for lv in levels if lv.branch == args.branch]
+    return labelled or [levels[0] if args.branch == "minus" else levels[-1]]
+
+
+def _cmd_energy(args: argparse.Namespace) -> None:
+    levels = _levels(_params_from(args), args)
+    _emit(levels_to_csv(levels) if args.format == "csv" else levels_to_json(levels), args.out)
 
 
 GNUPLOT_STUB = """# gnuplot stub for a sweep produced by `screwspec sweep`
@@ -173,10 +181,9 @@ plot "{data}" using 1:4 with linespoints
 """
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     if args.gnuplot and args.format == "json":
-        _error_json("invalid-input", "--gnuplot plots CSV columns; it cannot read --format json")
-        return 1
+        raise InvalidParameterError("--gnuplot plots CSV columns; it cannot read --format json")
     p = _params_from(args)
     spec = SweepSpec(
         parameter=args.param,
@@ -193,16 +200,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _emit(rows_to_csv(rows), args.out)
     if args.gnuplot:
         data = args.out if args.out not in (None, "-") else "sweep.csv"
-        Path(args.gnuplot).write_text(
-            GNUPLOT_STUB.format(param=spec.parameter, data=data)
-        )
-    return 0
+        _write(args.gnuplot, GNUPLOT_STUB.format(param=spec.parameter, data=data))
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> None:
     if args.mode == "core" and args.rmax is not None:
-        _error_json("invalid-input", "--rmax does not apply to the core grid; it ends at beta")
-        return 1
+        raise InvalidParameterError("--rmax does not apply to the core grid; it ends at beta")
     p = _params_from(args)
     modes = list(GridMode) if args.mode == "all" else [GridMode(args.mode)]
     results = []
@@ -219,7 +222,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     _emit(oracle_csv(results), args.out)
     if args.report:
         print(_oracle_report(p, results), file=sys.stderr)
-    return 0
 
 
 def _oracle_report(p: PhysicalParams, results: list[OracleResult]) -> str:
@@ -259,50 +261,26 @@ def _oracle_report(p: PhysicalParams, results: list[OracleResult]) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> None:
     report = run_verification(seed=args.seed, fast=args.fast)
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    else:
-        _emit(report.to_text(), args.out)
-    return 0 if report.overall_pass else 1
+    _emit(report.to_json() if args.format == "json" else report.to_text(), args.out)
+    if not report.overall_pass:
+        raise _ChecksFailed
 
 
-def _cmd_wavefunction(args: argparse.Namespace) -> int:
+def _cmd_wavefunction(args: argparse.Namespace) -> None:
     p = _params_from(args)
     if not 0.0 < args.xmax < math.inf:
-        _error_json("invalid-input", f"xmax must be positive and finite: got {args.xmax}")
-        return 1
+        raise InvalidParameterError(f"xmax must be positive and finite: got {args.xmax}")
     if args.samples < 1:
-        _error_json("invalid-input", f"samples must be >= 1: got {args.samples}")
-        return 1
-    branch = Branch(args.branch)
+        raise InvalidParameterError(f"samples must be >= 1: got {args.samples}")
+    (level,) = _levels(p, args)
     if args.method == "closed-form":
-        if args.n != 1:
-            _error_json("invalid-input", "the closed form covers n = 1 only")
-            return 1
-        try:
-            sol = ground_state_wavefunction(p, branch)
-        except NegativeDiscriminantError as exc:
-            _error_json(
-                "no-real-level",
-                f"negative discriminant: {exc}",
-                discriminant=exc.discriminant,
-            )
-            return 2
+        sol = ground_state_wavefunction(p, level.branch)
     else:
-        levels = truncation_solve(p, args.n)
-        if not levels:
-            _error_json("no-real-level", "no real truncation root here")
-            return 2
-        level = levels[0] if branch is Branch.MINUS else levels[-1]
         sol = level_series(p, level)
     if args.xmax >= 1.0 and sol.polynomial_degree is None:
-        _error_json(
-            "invalid-input",
-            "xmax must stay below 1 for a non-terminating series",
-        )
-        return 1
+        raise InvalidParameterError("xmax must stay below 1 for a non-terminating series")
     lines = ["x,r,psi,dpsi_dx"]
     for i in range(1, args.samples + 1):
         x = args.xmax * i / args.samples
@@ -310,7 +288,6 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         f, f1, _ = eval_psi_x_derivatives(sol, x)
         lines.append(f"{x:.17g},{r:.17g},{f:.17g},{f1:.17g}")
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -385,15 +362,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; the table in the module docstring gives the exit status."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        args.func(args)
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
+    except _ChecksFailed:
+        return 1
     except NegativeDiscriminantError as exc:
         _error_json("no-real-level", str(exc), discriminant=exc.discriminant)
+        return 2
+    except _NoRealLevel as exc:
+        _error_json("no-real-level", str(exc))
         return 2
     except OracleAccuracyError as exc:
         _error_json("grid-too-coarse", str(exc))
@@ -401,12 +382,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TruncationError as exc:
         _error_json("truncation-failed", str(exc))
         return 3
-    except (InvalidParameterError, ValueError) as exc:
+    except ValueError as exc:  # InvalidParameterError and argparse's errors among them
         _error_json("invalid-input", str(exc))
         return 1
     except OverflowError as exc:  # a square or an energy leaves the float range
         _error_json("invalid-input", f"overflow at these parameters: {exc}")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -39,8 +39,6 @@ __all__ = [
 
 SWEEPABLE_PARAMETERS = ("flux", "beta", "Omega", "gamma", "omega0", "k", "ell")
 
-CSV_HEADER = "param_value,ell,branch,energy,spectral,discriminant,termination_defect"
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -93,6 +91,10 @@ class SweepRow:
     spectral: float | None
     discriminant: float | None
     termination_defect: float | None
+
+
+# the CSV columns and JSON keys, in this order
+_ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def sweep_values(spec: SweepSpec) -> list[float]:
@@ -180,7 +182,7 @@ def _cell(v: float | None) -> str:
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
     """Byte-stable CSV with 17 significant digits and empty missing cells."""
-    lines = [CSV_HEADER]
+    lines = [",".join(_ROW_FIELDS)]
     for row in rows:
         lines.append(
             f"{row.param_value:.17g},{row.ell},{row.branch},"
@@ -191,4 +193,5 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def rows_to_json(rows: list[SweepRow]) -> str:
-    return json.dumps([dataclasses.asdict(row) for row in rows], indent=2)
+    records = [{name: getattr(row, name) for name in _ROW_FIELDS} for row in rows]
+    return json.dumps(records, indent=2)

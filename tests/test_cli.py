@@ -19,12 +19,21 @@ from screwspec import (
     truncation_solve,
 )
 from screwspec.cli import main
-from screwspec.spectrum import Branch
+from screwspec.spectrum import Branch, NegativeDiscriminantError
 
 OSC_ARGS = [
     "--omega0", "2", "--beta", "0.5", "--k", "0.5", "--ell", "2",
     "--flux", "0.75",
 ]
+
+# a negative closed-form discriminant (omega0 defaults to 1:
+# 1.5 + 20 + 3.5 - 30 = -5), and a truncation condition with no real root
+NO_CLOSED_FORM = ["--beta", "0.5", "--ell", "1", "--flux", "0.25", "--k", "1"]
+NO_TRUNCATION_ROOT = [
+    "--method", "truncation", "--model", "inverse-square", "--beta", "0.5", "--k", "0.5",
+    "--ell", "0", "--flux", "0",
+]
+SWEEP_ARGS = [*OSC_ARGS, "--param", "flux", "--from", "0", "--to", "2", "--steps", "5"]
 
 P_OSC = PhysicalParams(
     model=Model.OSCILLATOR,
@@ -68,13 +77,7 @@ class TestEnergy:
         assert lines[1].startswith("1,2,minus,10.268593539448982,")
 
     def test_no_real_level_is_exit_2(self, capsys):
-        # omega0 defaults to 1, so the pair at this shift is complex
-        # (discriminant 1.5 + 20 + 3.5 - 30).
-        code, out, err = run(
-            ["energy", "--beta", "0.5", "--ell", "1",
-             "--flux", "0.25", "--k", "1"],
-            capsys,
-        )
+        code, out, err = run(["energy", *NO_CLOSED_FORM], capsys)
         assert code == 2
         assert out == ""
         payload = json.loads(err)
@@ -179,8 +182,12 @@ class TestOverflow:
              "--format", "csv"],
             ["sweep", *OSC_ARGS, "--delta", "1e308", "--param", "Omega", "--from=-1e308",
              "--to=-1.7e308", "--steps", "2", "--format", "json"],
+            ["wavefunction", "--flux", "1e160"],
         ],
-        ids=["energy", "sweep", "energy-sum", "energy-sum-truncation", "sweep-energy-sum"],
+        ids=[
+            "energy", "sweep", "energy-sum", "energy-sum-truncation", "sweep-energy-sum",
+            "wavefunction",
+        ],
     )
     def test_overflow_is_invalid_input(self, capsys, argv):
         code, out, err = run(argv, capsys)
@@ -191,6 +198,68 @@ class TestOverflow:
         payload = json.loads(err)
         assert payload["error"] == "invalid-input"
         assert "overflow" in payload["message"]
+
+
+class TestErrorContract:
+    """Every failure ``main`` maps: its exit status and one JSON line on stderr.
+
+    ``TestOverflow`` holds the overflow cases.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, status, error",
+        [
+            (["energy", "--beta", "notanumber"], 1, "invalid-input"),
+            (["energy", "--beta", "1.5"], 1, "invalid-input"),
+            (["energy", *OSC_ARGS, "--out", "{tmp}/missing/levels.json"], 1, "invalid-input"),
+            (["sweep", *SWEEP_ARGS, "--out", "{tmp}"], 1, "invalid-input"),
+            (["sweep", *SWEEP_ARGS, "--gnuplot", "{tmp}/missing/flux.gp"], 1, "invalid-input"),
+            (["verify", "--fast", "--out", "{tmp}/missing/report.txt"], 1, "invalid-input"),
+            (["energy", *NO_CLOSED_FORM], 2, "no-real-level"),
+            (["wavefunction", *NO_CLOSED_FORM], 2, "no-real-level"),
+            (["energy", *NO_TRUNCATION_ROOT], 2, "no-real-level"),
+            (["wavefunction", *NO_TRUNCATION_ROOT], 2, "no-real-level"),
+            (["energy", *OSC_ARGS, "--method", "truncation", "--n", "80"], 3, "truncation-failed"),
+            (["oracle", *OSC_ARGS, "--neigs", "3", "--points", "3000"], 1, "grid-too-coarse"),
+        ],
+        ids=[
+            "argparse", "invalid-value", "out-missing-dir", "out-is-dir",
+            "gnuplot-missing-dir", "verify-out-missing-dir", "energy-discriminant",
+            "wavefunction-discriminant", "energy-no-root", "wavefunction-no-root",
+            "truncation-failed", "grid-too-coarse",
+        ],
+    )
+    def test_failure_is_one_json_line(self, capsys, tmp_path, argv, status, error):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, _, err = run(argv, capsys)
+        assert code == status
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == error
+
+    def test_unwritable_path_is_named(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "levels.json"
+        _, out, err = run(["energy", *OSC_ARGS, "--out", str(target)], capsys)
+        assert out == ""
+        assert json.loads(err)["message"] == f"cannot write {target}: No such file or directory"
+
+    @pytest.mark.parametrize(
+        "point", [NO_CLOSED_FORM, NO_TRUNCATION_ROOT], ids=["closed-form", "truncation"]
+    )
+    def test_energy_and_wavefunction_fail_alike(self, capsys, point):
+        _, _, energy_err = run(["energy", *point], capsys)
+        _, _, wavefunction_err = run(["wavefunction", *point], capsys)
+        assert energy_err == wavefunction_err
+
+    def test_discriminant_message_is_the_library_message(self, capsys):
+        p = PhysicalParams(model=Model.OSCILLATOR, mass=1.0, omega0=1.0, beta=0.5, ell=1,
+                           flux=0.25, k=1.0)
+        with pytest.raises(NegativeDiscriminantError) as exc:
+            ground_state_closed_form(p)
+        _, _, err = run(["energy", *NO_CLOSED_FORM], capsys)
+        assert json.loads(err) == {
+            "error": "no-real-level", "message": str(exc.value), "discriminant": -5.0,
+        }
 
 
 class TestGolden:
@@ -440,11 +509,7 @@ class TestWavefunction:
         assert len(out.splitlines()) == 6
 
     def test_no_real_level_is_exit_2(self, capsys):
-        code, _, err = run(
-            ["wavefunction", "--beta", "0.5", "--ell", "1",
-             "--flux", "0.25", "--k", "1"],
-            capsys,
-        )
+        code, _, err = run(["wavefunction", *NO_CLOSED_FORM], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "no-real-level"
 
@@ -528,8 +593,9 @@ class TestVerify:
             return d1, -d2, d3
 
         monkeypatch.setattr(series_mod, "_triple", tampered)
-        code, out, _ = run(["verify", "--fast", "--format", "json"], capsys)
+        code, out, err = run(["verify", "--fast", "--format", "json"], capsys)
         assert code == 1
+        assert err == ""  # the report names the failed check; no JSON error
         assert "FAIL" in out
         check = {c["name"]: c for c in json.loads(out)["checks"]}["series-residual"]
         assert check["status"] == "FAIL"
