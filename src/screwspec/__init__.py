@@ -23,14 +23,12 @@ from .params import (
     Model,
     NegativeFluxWarning,
     PhysicalParams,
-    SpectralParameter,
     derive_params,
     energy_to_spectral,
     spectral_to_energy,
 )
 from .series import (
     ConvergenceWarning,
-    ResidualReport,
     SeriesOverflowError,
     SeriesSolution,
     eval_psi_x_derivatives,
@@ -60,7 +58,6 @@ __all__ = [
     "Model",
     "PhysicalParams",
     "DerivedParams",
-    "SpectralParameter",
     "InvalidParameterError",
     "NegativeFluxWarning",
     "derive_params",
@@ -71,7 +68,6 @@ __all__ = [
     "radial_lhs",
     "transformed_lhs",
     "SeriesSolution",
-    "ResidualReport",
     "SeriesOverflowError",
     "ConvergenceWarning",
     "series_coefficients",

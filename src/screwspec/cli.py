@@ -2,7 +2,8 @@
 
 Thin veneer over the library: every number printed here is produced by
 a single library call, so CLI output equals direct API output bit for
-bit.  Commands: energy, sweep, oracle, verify, wavefunction.
+bit.  Commands: energy, sweep, oracle, verify, wavefunction.  ``--out
+PATH`` writes to a file the bytes standard output would get.
 
 A command either completes or raises; :func:`main` alone turns the
 exception into one JSON object ``{"error": CODE, "message": ...}`` on
@@ -14,6 +15,8 @@ error              exit  when
 invalid-input      1     a malformed flag, a flag the command does not read,
                          an invalid parameter, a square or an energy that
                          overflows, an output path that cannot be written
+                         (a directory, or one in no directory, is refused
+                         before any work)
 grid-too-coarse    1     a finite-difference grid fails the residual gate
 no-real-level      2     no real level at these parameters (a negative
                          closed-form discriminant also gives
@@ -30,8 +33,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -85,18 +90,32 @@ def _error_json(code: str, message: str, **extra: object) -> None:
     print(json.dumps(payload), file=sys.stderr)
 
 
+def _refuse_unwritable(path: str | None) -> None:
+    """Refuse, before any work, an output path that is a directory or lies in none."""
+    if path is None or path == "-":
+        return
+    if Path(path).is_dir():
+        reason = errno.EISDIR
+    elif not Path(path).parent.is_dir():
+        reason = errno.ENOENT
+    else:
+        return
+    raise InvalidParameterError(f"cannot write {path}: {os.strerror(reason)}")
+
+
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
-    except OSError as exc:
+    except OSError as exc:  # what only the write reveals, such as permissions
         raise InvalidParameterError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+def _emit(text: str, out: str) -> None:
+    """``text`` ending in one newline, on standard output for ``-`` or else in file ``out``."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if out == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         _write(out, text)
 
@@ -199,7 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     else:
         _emit(rows_to_csv(rows), args.out)
     if args.gnuplot:
-        data = args.out if args.out not in (None, "-") else "sweep.csv"
+        data = "sweep.csv" if args.out == "-" else args.out
         _write(args.gnuplot, GNUPLOT_STUB.format(param=spec.parameter, data=data))
 
 
@@ -365,6 +384,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; the table in the module docstring gives the exit status."""
     try:
         args = build_parser().parse_args(argv)
+        for path in (args.out, getattr(args, "gnuplot", None)):
+            _refuse_unwritable(path)
         args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)

@@ -46,7 +46,6 @@ __all__ = [
     "Model",
     "PhysicalParams",
     "DerivedParams",
-    "SpectralParameter",
     "InvalidParameterError",
     "NegativeFluxWarning",
     "admissible",
@@ -185,14 +184,6 @@ class DerivedParams:
     j: float
 
 
-@dataclass(frozen=True)
-class SpectralParameter:
-    """Spectral parameter of the radial equation, tagged with its model."""
-
-    value: float
-    model: Model
-
-
 def derive_params(p: PhysicalParams) -> DerivedParams:
     """Compute (iota, omega, j) from validated physical parameters."""
     iota = p.ell - p.flux - p.beta * p.k
@@ -201,23 +192,14 @@ def derive_params(p: PhysicalParams) -> DerivedParams:
     return DerivedParams(iota=iota, omega=omega, j=j)
 
 
-def spectral_to_energy(p: PhysicalParams, spectral: SpectralParameter | float) -> float:
-    """Energy for a given spectral value.
+def spectral_to_energy(p: PhysicalParams, spectral: float) -> float:
+    """Energy for a spectral value, a bare float in either model.
 
     ``E = k^2/(2 mass) + spectral/(2 mass) + delta - Omega * iota``.
-    Accepts a bare float or a :class:`SpectralParameter`; a tagged value whose
-    model disagrees with ``p.model`` is rejected.  Raises ``OverflowError``
-    where a finite spectral value gives a non-finite energy.
+    Raises ``OverflowError`` where a finite spectral value gives a
+    non-finite energy.
     """
-    if isinstance(spectral, SpectralParameter):
-        if spectral.model is not p.model:
-            raise InvalidParameterError(
-                f"spectral parameter tagged {spectral.model.value!r} used with "
-                f"{p.model.value!r} parameters"
-            )
-        value = spectral.value
-    else:
-        value = float(spectral)
+    value = float(spectral)
     d = derive_params(p)
     energy = (p.k**2 + value) / (2.0 * p.mass) + p.delta - p.Omega * d.iota
     if math.isfinite(value) and not math.isfinite(energy):
@@ -225,8 +207,7 @@ def spectral_to_energy(p: PhysicalParams, spectral: SpectralParameter | float) -
     return energy
 
 
-def energy_to_spectral(p: PhysicalParams, energy: float) -> SpectralParameter:
-    """Inverse of :func:`spectral_to_energy` (round-trips to ~1e-16)."""
+def energy_to_spectral(p: PhysicalParams, energy: float) -> float:
+    """Inverse of :func:`spectral_to_energy`, as a float (round-trips to ~1e-16)."""
     d = derive_params(p)
-    value = 2.0 * p.mass * (energy - p.delta + p.Omega * d.iota) - p.k**2
-    return SpectralParameter(value=value, model=p.model)
+    return 2.0 * p.mass * (energy - p.delta + p.Omega * d.iota) - p.k**2

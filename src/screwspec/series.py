@@ -22,7 +22,11 @@ with P = spectral * beta^2, seeded by c_0 = 1 and
 The seed is the i = -1 row of the same recurrence (d2(-1) multiplies the
 absent c_{-1}, and d1(-1)/d3(-1) reproduces c_1), which pins the index
 convention.  For the inverse-square model omega = 0 and the identical
-code path applies.
+code path applies.  The spectral value is a bare float: in both models
+it is the lambda of E = (k^2 + lambda)/(2 mass) + delta - Omega iota.
+
+:func:`series_residual` returns the largest normalised residual over its
+points as one float.
 
 The alternate denominator d3(i) = (i + 3/2 + j)(i + 2) is inconsistent
 with the seed row above; it lives only in the ``verify`` audit, which
@@ -42,16 +46,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .operators import transformed_lhs
-from .params import (
-    Model,
-    PhysicalParams,
-    SpectralParameter,
-    derive_params,
-)
+from .params import PhysicalParams, derive_params
 
 __all__ = [
     "SeriesSolution",
-    "ResidualReport",
     "SeriesOverflowError",
     "ConvergenceWarning",
     "series_coefficients",
@@ -92,18 +90,7 @@ class SeriesSolution:
     coeffs: np.ndarray
     power: float
     gauss_factor: float
-    model: Model
     polynomial_degree: int | None = None
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Normalised operator residuals of a series solution."""
-
-    points: tuple[float, ...]
-    residuals: tuple[float, ...]
-    max_residual: float
-    n_terms: int
 
 
 def _triple(
@@ -126,23 +113,16 @@ def _seed(iota: float, j: float, omega: float, scaled: float) -> float:
     return (2.0 * omega * (1.0 + j) - iota**2 - scaled + 0.5 + j) / (4.0 * (1.0 + j))
 
 
-def series_coefficients(
-    p: PhysicalParams, spectral: SpectralParameter, n_terms: int
-) -> SeriesSolution:
-    """Coefficients c_0 .. c_{n_terms} of the series solution.
+def series_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> SeriesSolution:
+    """Coefficients c_0 .. c_{n_terms} of the series solution at one spectral value.
 
     Raises :class:`SeriesOverflowError` if a coefficient leaves the
     representable range before ``n_terms`` is reached.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1: got {n_terms}")
-    if spectral.model is not p.model:
-        raise ValueError(
-            f"spectral parameter tagged {spectral.model.value!r} used with "
-            f"{p.model.value!r} parameters"
-        )
     d = derive_params(p)
-    scaled = spectral.value * p.beta**2
+    scaled = spectral * p.beta**2
     c = np.empty(n_terms + 1)
     c[0] = 1.0
     c[1] = _seed(d.iota, d.j, d.omega, scaled)
@@ -153,12 +133,7 @@ def series_coefficients(
             if not math.isfinite(nxt) or abs(nxt) > OVERFLOW_LIMIT:
                 raise SeriesOverflowError(i + 2)
             c[i + 2] = nxt
-    return SeriesSolution(
-        coeffs=c,
-        power=0.25 + d.j / 2.0,
-        gauss_factor=d.omega / 2.0,
-        model=p.model,
-    )
+    return SeriesSolution(coeffs=c, power=0.25 + d.j / 2.0, gauss_factor=d.omega / 2.0)
 
 
 def _polyval_with_derivatives(coeffs: Sequence[float], x: float) -> tuple[float, float, float]:
@@ -207,15 +182,17 @@ def eval_psi_x_derivatives(sol: SeriesSolution, x: float) -> tuple[float, float,
 def series_residual(
     sol: SeriesSolution,
     p: PhysicalParams,
-    spectral: SpectralParameter,
+    spectral: float,
     points: Iterable[float],
-) -> ResidualReport:
-    """Normalised residual of the transformed operator on ``sol``.
+) -> float:
+    """Largest normalised residual of the transformed operator on ``sol``.
 
-    Each point must lie in ``[1e-3, 1 - 1e-3]``: close enough to the
-    origin for a truncated series to be meaningful, bounded away from
-    both singular endpoints.  The residual at each point is
-    ``|L[psi]| / max(1, |psi| + |x psi'| + |x^2 psi''|)``.
+    ``spectral`` is the value ``sol`` was built at.  Each point must lie
+    in ``[1e-3, 1 - 1e-3]``: close enough to the origin for a truncated
+    series to be meaningful, bounded away from both singular endpoints.
+    The residual at each point is
+    ``|L[psi]| / max(1, |psi| + |x psi'| + |x^2 psi''|)``, and the largest
+    over ``points`` is returned.
     """
     pts = tuple(float(t) for t in points)
     for t in pts:
@@ -226,12 +203,7 @@ def series_residual(
     res = []
     for t in pts:
         f, f1, f2 = eval_psi_x_derivatives(sol, t)
-        val = transformed_lhs(p, spectral.value, t, f, f1, f2)
+        val = transformed_lhs(p, spectral, t, f, f1, f2)
         scale = max(1.0, abs(f) + abs(t * f1) + abs(t * t * f2))
         res.append(abs(val) / scale)
-    return ResidualReport(
-        points=pts,
-        residuals=tuple(res),
-        max_residual=max(res),
-        n_terms=len(sol.coeffs) - 1,
-    )
+    return max(res)

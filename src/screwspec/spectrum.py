@@ -587,7 +587,6 @@ def ground_state_wavefunction(p: PhysicalParams, branch: Branch) -> SeriesSoluti
         coeffs=np.array([1.0, c1]),
         power=0.25 + j / 2.0,
         gauss_factor=w / 2.0,
-        model=p.model,
         polynomial_degree=1,
     )
 
@@ -607,7 +606,6 @@ def level_series(p: PhysicalParams, level: EnergyLevel) -> SeriesSolution:
         coeffs=coeffs,
         power=0.25 + d.j / 2.0,
         gauss_factor=d.omega / 2.0,
-        model=p.model,
         polynomial_degree=level.n,
     )
 

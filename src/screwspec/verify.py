@@ -14,6 +14,18 @@ tolerance.  Statuses:
 Randomised checks draw from a seeded generator, so a report is exactly
 reproducible from its ``seed`` field.
 
+A check is one function of plain floats, decorated with its name and
+tolerance and listed in :data:`CHECKS`::
+
+    @_check("my-check", 1e-10)
+    def check_mine(rng, fast, tol) -> Outcome:
+        worst = ...  # draw from rng, fewer draws when fast
+        return ("PASS" if worst <= tol else "FAIL"), worst, "what was measured"
+
+The decorator makes it ``check_mine(rng, fast=False) -> CheckResult``:
+it times the measurement and reports an exception as FAIL with measured
+None.
+
 The audits have no other caller, so they live here rather than in the
 modules they audit: the alternate recurrence denominator, the closed-form
 and flux-periodicity comparisons, and the two operator identities,
@@ -26,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import json
 import math
 import time
@@ -36,13 +49,7 @@ import numpy as np
 
 from .operators import Probe, gaussian_probe, radial_lhs, transformed_lhs
 from .oracle import GridMode, GridSpec, flat_exact_spectrum, oracle_eigenvalues
-from .params import (
-    Model,
-    PhysicalParams,
-    SpectralParameter,
-    derive_params,
-    energy_to_spectral,
-)
+from .params import Model, PhysicalParams, derive_params, energy_to_spectral
 from .series import (
     OVERFLOW_LIMIT,
     SeriesOverflowError,
@@ -173,56 +180,56 @@ def _random_params_with_closed_form(
     raise RuntimeError("could not sample parameters with a real closed form")
 
 
-def _spectral(rng: np.random.Generator, p: PhysicalParams) -> SpectralParameter:
-    return SpectralParameter(value=float(rng.uniform(-10.0, 10.0)), model=p.model)
+# a check's (status, measured, detail)
+Outcome = tuple[str, float | None, str]
+
+Measurement = Callable[[np.random.Generator, bool, float], Outcome]
 
 
-def _run(
-    name: str,
-    tolerance: float | None,
-    body: Callable[[], tuple[str, float | None, str]],
-) -> CheckResult:
-    start = time.perf_counter()
-    try:
-        status, measured, detail = body()
-    except Exception as exc:  # noqa: BLE001 - a crashed check is a FAIL, not an abort
-        status, measured, detail = "FAIL", None, f"{type(exc).__name__}: {exc}"
-    return CheckResult(
-        name=name,
-        status=status,
-        measured=measured,
-        tolerance=tolerance,
-        detail=detail,
-        elapsed_s=time.perf_counter() - start,
-    )
+def _check(name: str, tolerance: float) -> Callable[[Measurement], Callable[..., CheckResult]]:
+    """Make ``measure(rng, fast, tol) -> Outcome`` a named check; see the module docstring."""
+
+    def decorate(measure: Measurement) -> Callable[..., CheckResult]:
+        @functools.wraps(measure)
+        def check(rng: np.random.Generator, fast: bool = False) -> CheckResult:
+            start = time.perf_counter()
+            try:
+                status, measured, detail = measure(rng, fast, tolerance)
+            except Exception as exc:  # noqa: BLE001 - a crashed check is a FAIL, not an abort
+                status, measured, detail = "FAIL", None, f"{type(exc).__name__}: {exc}"
+            return CheckResult(
+                name=name,
+                status=status,
+                measured=measured,
+                tolerance=tolerance,
+                detail=detail,
+                elapsed_s=time.perf_counter() - start,
+            )
+
+        return check
+
+    return decorate
 
 
-def check_series_residual(rng: np.random.Generator, fast: bool = False) -> CheckResult:
+@_check("series-residual", 1e-9)
+def check_series_residual(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Transformed-operator residual of the N=200 series, both models."""
-    tol = 1e-9
     draws = 10 if fast else 50
-
-    def body() -> tuple[str, float | None, str]:
-        worst = 0.0
-        for model in Model:
-            for _ in range(draws):
-                p = _random_params(rng, model)
-                s = _spectral(rng, p)
-                sol = series_coefficients(p, s, SERIES_TERMS)
-                rep = series_residual(sol, p, s, RESIDUAL_POINTS)
-                worst = max(worst, rep.max_residual)
-        status = "PASS" if worst <= tol else "FAIL"
-        return status, worst, f"{2 * draws} parameter draws, {SERIES_TERMS} terms"
-
-    return _run("series-residual", tol, body)
+    worst = 0.0
+    for model in Model:
+        for _ in range(draws):
+            p = _random_params(rng, model)
+            s = float(rng.uniform(-10.0, 10.0))
+            sol = series_coefficients(p, s, SERIES_TERMS)
+            worst = max(worst, series_residual(sol, p, s, RESIDUAL_POINTS))
+    status = "PASS" if worst <= tol else "FAIL"
+    return status, worst, f"{2 * draws} parameter draws, {SERIES_TERMS} terms"
 
 
-def _alternate_coefficients(
-    p: PhysicalParams, spectral: SpectralParameter, n_terms: int
-) -> SeriesSolution:
+def _alternate_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> SeriesSolution:
     """:func:`series_coefficients` with the denominator (i + 3/2 + j)(i + 2)."""
     d = derive_params(p)
-    scaled = spectral.value * p.beta**2
+    scaled = spectral * p.beta**2
     c = np.empty(n_terms + 1)
     c[0] = 1.0
     c[1] = _seed(d.iota, d.j, d.omega, scaled)
@@ -233,37 +240,28 @@ def _alternate_coefficients(
             if not math.isfinite(nxt) or abs(nxt) > OVERFLOW_LIMIT:
                 raise SeriesOverflowError(i + 2)
             c[i + 2] = nxt
-    return SeriesSolution(
-        coeffs=c, power=0.25 + d.j / 2.0, gauss_factor=d.omega / 2.0, model=p.model
-    )
+    return SeriesSolution(coeffs=c, power=0.25 + d.j / 2.0, gauss_factor=d.omega / 2.0)
 
 
-def check_series_residual_alternate(
-    rng: np.random.Generator, fast: bool = False
-) -> CheckResult:
+@_check("series-residual-alternate-denominator", 1e-9)
+def check_series_residual_alternate(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Audit of the alternate recurrence denominator (expected to disagree)."""
-    tol = 1e-9
     draws = 5 if fast else 10
-
-    def body() -> tuple[str, float | None, str]:
-        worst = 0.0
-        for model in Model:
-            for _ in range(draws):
-                p = _random_params(rng, model)
-                s = _spectral(rng, p)
-                sol = _alternate_coefficients(p, s, SERIES_TERMS)
-                rep = series_residual(sol, p, s, RESIDUAL_POINTS)
-                worst = max(worst, rep.max_residual)
-        if worst > tol:
-            return (
-                "DISCREPANT-DOCUMENTED",
-                worst,
-                "alternate denominator (i + 3/2 + j)(i + 2) fails the operator "
-                "residual; the consistent form (i + 2 + j)(i + 2) is the default",
-            )
-        return "PASS", worst, "alternate denominator unexpectedly agrees"
-
-    return _run("series-residual-alternate-denominator", tol, body)
+    worst = 0.0
+    for model in Model:
+        for _ in range(draws):
+            p = _random_params(rng, model)
+            s = float(rng.uniform(-10.0, 10.0))
+            sol = _alternate_coefficients(p, s, SERIES_TERMS)
+            worst = max(worst, series_residual(sol, p, s, RESIDUAL_POINTS))
+    if worst > tol:
+        return (
+            "DISCREPANT-DOCUMENTED",
+            worst,
+            "alternate denominator (i + 3/2 + j)(i + 2) fails the operator "
+            "residual; the consistent form (i + 2 + j)(i + 2) is the default",
+        )
+    return "PASS", worst, "alternate denominator unexpectedly agrees"
 
 
 def changeofvar_consistency(
@@ -300,30 +298,26 @@ def changeofvar_consistency(
     return diff / scale
 
 
-def check_changeofvar(rng: np.random.Generator, fast: bool = False) -> CheckResult:
+@_check("change-of-variable", 1e-10)
+def check_changeofvar(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Radial operator vs its x-space form on random analytic probes."""
-    tol = 1e-10
     draws = 20 if fast else 100
-
-    def body() -> tuple[str, float | None, str]:
-        worst = 0.0
-        for idx in range(draws):
-            model = Model.OSCILLATOR if idx % 2 == 0 else Model.INVERSE_SQUARE
-            p = _random_params(rng, model)
-            probe = gaussian_probe(
-                width=float(rng.uniform(0.3, 2.0)), center=float(rng.uniform(0.2, 2.5))
-            )
-            while True:
-                x = float(rng.uniform(0.05, 4.0))
-                if abs(x - 1.0) >= 0.05:
-                    break
-            r = p.beta * math.sqrt(x)
-            value = float(rng.uniform(-10.0, 10.0))
-            worst = max(worst, changeofvar_consistency(p, value, probe, r))
-        status = "PASS" if worst <= tol else "FAIL"
-        return status, worst, f"{draws} (params, probe, r) draws"
-
-    return _run("change-of-variable", tol, body)
+    worst = 0.0
+    for idx in range(draws):
+        model = Model.OSCILLATOR if idx % 2 == 0 else Model.INVERSE_SQUARE
+        p = _random_params(rng, model)
+        probe = gaussian_probe(
+            width=float(rng.uniform(0.3, 2.0)), center=float(rng.uniform(0.2, 2.5))
+        )
+        while True:
+            x = float(rng.uniform(0.05, 4.0))
+            if abs(x - 1.0) >= 0.05:
+                break
+        r = p.beta * math.sqrt(x)
+        value = float(rng.uniform(-10.0, 10.0))
+        worst = max(worst, changeofvar_consistency(p, value, probe, r))
+    status = "PASS" if worst <= tol else "FAIL"
+    return status, worst, f"{draws} (params, probe, r) draws"
 
 
 def separation_residual(
@@ -363,8 +357,7 @@ def separation_residual(
         0.5 * p.mass * p.omega0**2 * r**2 + p.gamma / r**2 + p.delta - energy
     ) * f
     lhs3d = (kinetic + rotation + potential) * phase
-    spectral = energy_to_spectral(p, energy)
-    radial = radial_lhs(p, spectral.value, r, f, d1, d2)
+    radial = radial_lhs(p, energy_to_spectral(p, energy), r, f, d1, d2)
     target = -(phase * radial) / (2.0 * p.mass)
     scale = max(
         1.0,
@@ -374,71 +367,61 @@ def separation_residual(
     return abs(lhs3d - target) / scale
 
 
-def check_separation(rng: np.random.Generator, fast: bool = False) -> CheckResult:
+@_check("separation-identity", 1e-8)
+def check_separation(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Full 3-d operator vs the separated radial operator."""
-    tol = 1e-8
     draws = 8 if fast else 30
-
-    def body() -> tuple[str, float | None, str]:
-        worst = 0.0
-        for idx in range(draws):
-            model = Model.OSCILLATOR if idx % 2 == 0 else Model.INVERSE_SQUARE
-            p = _random_params(rng, model)
-            probe = gaussian_probe(
-                width=float(rng.uniform(0.3, 2.0)), center=float(rng.uniform(0.0, 1.5))
-            )
-            while True:
-                r = float(rng.uniform(0.05, 3.0))
-                if abs(r - p.beta) >= 0.02:
-                    break
-            energy = float(rng.uniform(-2.0, 5.0))
-            worst = max(
-                worst,
-                separation_residual(
-                    p,
-                    energy,
-                    probe,
-                    r,
-                    angle=float(rng.uniform(0.0, 2.0 * math.pi)),
-                    z=float(rng.uniform(-2.0, 2.0)),
-                ),
-            )
-        status = "PASS" if worst <= tol else "FAIL"
-        return status, worst, f"{draws} random (params, probe, r, E) draws"
-
-    return _run("separation-identity", tol, body)
+    worst = 0.0
+    for idx in range(draws):
+        model = Model.OSCILLATOR if idx % 2 == 0 else Model.INVERSE_SQUARE
+        p = _random_params(rng, model)
+        probe = gaussian_probe(
+            width=float(rng.uniform(0.3, 2.0)), center=float(rng.uniform(0.0, 1.5))
+        )
+        while True:
+            r = float(rng.uniform(0.05, 3.0))
+            if abs(r - p.beta) >= 0.02:
+                break
+        energy = float(rng.uniform(-2.0, 5.0))
+        worst = max(
+            worst,
+            separation_residual(
+                p,
+                energy,
+                probe,
+                r,
+                angle=float(rng.uniform(0.0, 2.0 * math.pi)),
+                z=float(rng.uniform(-2.0, 2.0)),
+            ),
+        )
+    status = "PASS" if worst <= tol else "FAIL"
+    return status, worst, f"{draws} random (params, probe, r, E) draws"
 
 
-def check_truncation(rng: np.random.Generator, fast: bool = False) -> CheckResult:
+@_check("truncation-self-consistency", 1e-10)
+def check_truncation(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Roots of the truncation condition really are roots, for n = 1, 2, 3."""
-    tol = 1e-10
     draws = 6 if fast else 20
-
-    def body() -> tuple[str, float | None, str]:
-        worst = 0.0
-        n_levels = 0
-        for model in Model:
-            for _ in range(draws):
-                p = _random_params(rng, model)
-                for n in (1, 2, 3):
-                    table = lambda_polynomials(p, n + 2)
-                    levels = truncation_solve(p, n)
-                    if len(levels) > n + 1:
-                        return "FAIL", None, f"{len(levels)} roots at order n = {n}"
-                    coeffs = table.entry(n + 1)
-                    for lv in levels:
-                        scale = float(
-                            np.polynomial.polynomial.polyval(
-                                abs(lv.spectral), np.abs(coeffs)
-                            )
-                        )
-                        rel = abs(table.eval(n + 1, lv.spectral)) / max(scale, 1e-300)
-                        worst = max(worst, rel)
-                        n_levels += 1
-        status = "PASS" if worst <= tol else "FAIL"
-        return status, worst, f"{n_levels} roots across n in (1, 2, 3), both models"
-
-    return _run("truncation-self-consistency", tol, body)
+    worst = 0.0
+    n_levels = 0
+    for model in Model:
+        for _ in range(draws):
+            p = _random_params(rng, model)
+            for n in (1, 2, 3):
+                table = lambda_polynomials(p, n + 2)
+                levels = truncation_solve(p, n)
+                if len(levels) > n + 1:
+                    return "FAIL", None, f"{len(levels)} roots at order n = {n}"
+                coeffs = table.entry(n + 1)
+                for lv in levels:
+                    scale = float(
+                        np.polynomial.polynomial.polyval(abs(lv.spectral), np.abs(coeffs))
+                    )
+                    rel = abs(table.eval(n + 1, lv.spectral)) / max(scale, 1e-300)
+                    worst = max(worst, rel)
+                    n_levels += 1
+    status = "PASS" if worst <= tol else "FAIL"
+    return status, worst, f"{n_levels} roots across n in (1, 2, 3), both models"
 
 
 def _audit_pairs(p: PhysicalParams, tol: float) -> tuple[list[float], list[tuple]]:
@@ -480,35 +463,31 @@ def _audit_text(p: PhysicalParams, tol: float) -> str:
     return "\n".join(lines)
 
 
-def check_closed_form_audit(rng: np.random.Generator, fast: bool = False) -> CheckResult:
+@_check("closed-form-audit", 1e-8)
+def check_closed_form_audit(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Closed-form n = 1 pair vs the exact truncation quadratic (audit)."""
-    tol = 1e-8
     draws = 8 if fast else 30
-
-    def body() -> tuple[str, float | None, str]:
-        agree = 0
-        discrepant = 0
-        worst: float | None = None
-        sample = None
-        for model in Model:
-            for _ in range(draws):
-                p = _random_params_with_closed_form(rng, model)
-                for _, _, rel, label in _audit_pairs(p, tol)[1]:
-                    if label == "AGREE":
-                        agree += 1
-                    else:
-                        discrepant += 1
-                        if sample is None:
-                            sample = p
-                    if rel is not None:
-                        worst = rel if worst is None else max(worst, rel)
-        detail = f"{agree} AGREE, {discrepant} DISCREPANT over {2 * draws} parameter sets"
-        if discrepant:
-            detail += "\n" + _audit_text(sample, tol)
-            return "DISCREPANT-DOCUMENTED", worst, detail
-        return "PASS", worst, detail
-
-    return _run("closed-form-audit", tol, body)
+    agree = 0
+    discrepant = 0
+    worst: float | None = None
+    sample = None
+    for model in Model:
+        for _ in range(draws):
+            p = _random_params_with_closed_form(rng, model)
+            for _, _, rel, label in _audit_pairs(p, tol)[1]:
+                if label == "AGREE":
+                    agree += 1
+                else:
+                    discrepant += 1
+                    if sample is None:
+                        sample = p
+                if rel is not None:
+                    worst = rel if worst is None else max(worst, rel)
+    detail = f"{agree} AGREE, {discrepant} DISCREPANT over {2 * draws} parameter sets"
+    if discrepant:
+        detail += "\n" + _audit_text(sample, tol)
+        return "DISCREPANT-DOCUMENTED", worst, detail
+    return "PASS", worst, detail
 
 
 def _shift_gap(
@@ -520,30 +499,24 @@ def _shift_gap(
     return max(abs(a - b) for a, b in zip(flux_shifted, relabelled, strict=True))
 
 
-def check_ab_periodicity(rng: np.random.Generator, fast: bool = False) -> CheckResult:
+@_check("ab-periodicity", 1e-12)
+def check_ab_periodicity(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Flux shift by nu quanta equals relabelling ell by -nu."""
-    tol = 1e-12
     draws = 6 if fast else 20
-
-    def body() -> tuple[str, float | None, str]:
-        worst = 0.0
-        for idx in range(draws):
-            model = Model.OSCILLATOR if idx % 2 == 0 else Model.INVERSE_SQUARE
-            for nu in (1, 2, 3):
-                # every fourth baseline also checks the lowest truncation root
-                truncation = idx % 4 == 0
-                p = _random_params_with_closed_form(rng, model, nu, truncation)
-                pair = _shift_gap(
-                    p, nu, lambda q: [lv.energy for lv in ground_state_closed_form(q)]
-                )
-                worst = max(worst, pair)
-                if truncation:
-                    lowest = _shift_gap(p, nu, lambda q: [truncation_solve(q, 1)[0].energy])
-                    worst = max(worst, lowest)
-        status = "PASS" if worst <= tol else "FAIL"
-        return status, worst, f"{draws} baselines, nu in (1, 2, 3), both branches"
-
-    return _run("ab-periodicity", tol, body)
+    worst = 0.0
+    for idx in range(draws):
+        model = Model.OSCILLATOR if idx % 2 == 0 else Model.INVERSE_SQUARE
+        for nu in (1, 2, 3):
+            # every fourth baseline also checks the lowest truncation root
+            truncation = idx % 4 == 0
+            p = _random_params_with_closed_form(rng, model, nu, truncation)
+            pair = _shift_gap(p, nu, lambda q: [lv.energy for lv in ground_state_closed_form(q)])
+            worst = max(worst, pair)
+            if truncation:
+                lowest = _shift_gap(p, nu, lambda q: [truncation_solve(q, 1)[0].energy])
+                worst = max(worst, lowest)
+    status = "PASS" if worst <= tol else "FAIL"
+    return status, worst, f"{draws} baselines, nu in (1, 2, 3), both branches"
 
 
 def _flat_params(gamma: float, ell: int) -> PhysicalParams:
@@ -559,126 +532,96 @@ def _flat_params(gamma: float, ell: int) -> PhysicalParams:
     )
 
 
-def check_flat_oracle(rng: np.random.Generator, fast: bool = False) -> CheckResult:
+@_check("flat-oracle-validation", 5e-4)
+def check_flat_oracle(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Flat-mode grid eigenvalues vs the exact oscillator spectrum."""
-    tol = 5e-4
     gammas = (0.0,) if fast else (0.0, 0.5)
     ells = (0, 1) if fast else (0, 1, 2)
-
-    def body() -> tuple[str, float | None, str]:
-        worst = 0.0
-        ratios: list[float] = []
-        for gamma in gammas:
-            for ell in ells:
-                p = _flat_params(gamma, ell)
-                exact = np.array([flat_exact_spectrum(p, i) for i in range(5)])
-                fine = oracle_eigenvalues(
-                    p, GridSpec.default(GridMode.FLAT, p, 4000), 5
-                )
-                coarse = oracle_eigenvalues(
-                    p,
-                    GridSpec.default(GridMode.FLAT, p, 2000),
-                    5,
-                    residual_tol=None,
-                )
-                err_fine = np.abs(fine.eigenvalues - exact) / exact
-                err_coarse = np.abs(coarse.eigenvalues - exact) / exact
-                worst = max(worst, float(err_fine.max()))
-                ratios.extend((err_coarse / err_fine).tolist())
-        bad = [f"{q:.2f}" for q in ratios if not 3.5 <= q <= 4.5]
-        detail = (
-            f"{len(gammas) * len(ells)} channels, lowest 5 levels; grid-doubling "
-            f"ratios in [{min(ratios):.3f}, {max(ratios):.3f}]"
-        )
-        if worst > tol:
-            return "FAIL", worst, detail
-        if bad:
-            return "FAIL", worst, detail + f"; ratios outside [3.5, 4.5]: {bad}"
-        return "PASS", worst, detail
-
-    return _run("flat-oracle-validation", tol, body)
-
-
-def check_outer_monotonicity(
-    rng: np.random.Generator, fast: bool = False
-) -> CheckResult:
-    """Lowest outer-mode eigenvalues are non-decreasing in gamma."""
-    tol = 1e-12
-    gammas = (0.0, 0.5) if fast else (0.0, 0.25, 0.5)
-
-    def body() -> tuple[str, float | None, str]:
-        spectra = []
-        for gamma in gammas:
-            p = PhysicalParams(
-                model=Model.OSCILLATOR,
-                mass=1.0,
-                omega0=1.0,
-                gamma=gamma,
-                beta=0.5,
-                k=1.0,
-                ell=1,
-                flux=0.25,
+    worst = 0.0
+    ratios: list[float] = []
+    for gamma in gammas:
+        for ell in ells:
+            p = _flat_params(gamma, ell)
+            exact = np.array([flat_exact_spectrum(p, i) for i in range(5)])
+            fine = oracle_eigenvalues(p, GridSpec.default(GridMode.FLAT, p, 4000), 5)
+            coarse = oracle_eigenvalues(
+                p, GridSpec.default(GridMode.FLAT, p, 2000), 5, residual_tol=None
             )
-            res = oracle_eigenvalues(p, GridSpec.default(GridMode.OUTER, p, 4000), 5)
-            spectra.append(res.eigenvalues)
-        worst_drop = 0.0
-        for lo, hi in zip(spectra, spectra[1:]):
-            drop = float((lo - hi).max())  # positive if some level decreased
-            worst_drop = max(worst_drop, drop)
-        status = "PASS" if worst_drop <= tol else "FAIL"
-        return (
-            status,
-            worst_drop,
-            f"gamma ladder {gammas}, lowest 5 outer levels, worst decrease",
+            err_fine = np.abs(fine.eigenvalues - exact) / exact
+            err_coarse = np.abs(coarse.eigenvalues - exact) / exact
+            worst = max(worst, float(err_fine.max()))
+            ratios.extend((err_coarse / err_fine).tolist())
+    bad = [f"{q:.2f}" for q in ratios if not 3.5 <= q <= 4.5]
+    detail = (
+        f"{len(gammas) * len(ells)} channels, lowest 5 levels; grid-doubling "
+        f"ratios in [{min(ratios):.3f}, {max(ratios):.3f}]"
+    )
+    if worst > tol:
+        return "FAIL", worst, detail
+    if bad:
+        return "FAIL", worst, detail + f"; ratios outside [3.5, 4.5]: {bad}"
+    return "PASS", worst, detail
+
+
+@_check("outer-gamma-monotonicity", 1e-12)
+def check_outer_monotonicity(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
+    """Lowest outer-mode eigenvalues are non-decreasing in gamma."""
+    gammas = (0.0, 0.5) if fast else (0.0, 0.25, 0.5)
+    spectra = []
+    for gamma in gammas:
+        p = PhysicalParams(
+            model=Model.OSCILLATOR,
+            mass=1.0,
+            omega0=1.0,
+            gamma=gamma,
+            beta=0.5,
+            k=1.0,
+            ell=1,
+            flux=0.25,
         )
+        res = oracle_eigenvalues(p, GridSpec.default(GridMode.OUTER, p, 4000), 5)
+        spectra.append(res.eigenvalues)
+    worst_drop = 0.0
+    for lo, hi in zip(spectra, spectra[1:]):
+        drop = float((lo - hi).max())  # positive if some level decreased
+        worst_drop = max(worst_drop, drop)
+    status = "PASS" if worst_drop <= tol else "FAIL"
+    return status, worst_drop, f"gamma ladder {gammas}, lowest 5 outer levels, worst decrease"
 
-    return _run("outer-gamma-monotonicity", tol, body)
 
-
-def check_rotation_affinity(
-    rng: np.random.Generator, fast: bool = False
-) -> CheckResult:
+@_check("rotation-affinity", 1e-12)
+def check_rotation_affinity(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Sweep energies are affine in Omega with slope -iota."""
-    tol = 1e-12
-
-    def body() -> tuple[str, float | None, str]:
-        worst_fit = 0.0
-        worst_slope = 0.0
-        for model in Model:
-            p = _random_params_with_closed_form(rng, model)
-            iota = derive_params(p).iota
-            for method in ("closed-form", "truncation"):
-                spec = SweepSpec(
-                    parameter="Omega",
-                    start=-1.0,
-                    stop=1.0,
-                    steps=7,
-                    method=method,
-                    branch="all",
-                )
-                rows = sweep_rows(p, spec)
-                for branch in ("minus", "plus"):
-                    pts = [
-                        (row.param_value, row.energy)
-                        for row in rows
-                        if row.branch == branch and row.energy is not None
-                    ]
-                    if len(pts) < 3:
-                        continue
-                    xs = np.array([q[0] for q in pts])
-                    ys = np.array([q[1] for q in pts])
-                    slope, intercept = np.polyfit(xs, ys, 1)
-                    fit = np.abs(slope * xs + intercept - ys).max()
-                    worst_fit = max(worst_fit, float(fit))
-                    worst_slope = max(worst_slope, abs(slope + iota))
-        ok = worst_fit <= tol and worst_slope <= 1e-10
-        return (
-            "PASS" if ok else "FAIL",
-            worst_fit,
-            f"slope error {worst_slope:.3e} (tol 1e-10), both models and methods",
-        )
-
-    return _run("rotation-affinity", tol, body)
+    worst_fit = 0.0
+    worst_slope = 0.0
+    for model in Model:
+        p = _random_params_with_closed_form(rng, model)
+        iota = derive_params(p).iota
+        for method in ("closed-form", "truncation"):
+            spec = SweepSpec(
+                parameter="Omega", start=-1.0, stop=1.0, steps=7, method=method, branch="all"
+            )
+            rows = sweep_rows(p, spec)
+            for branch in ("minus", "plus"):
+                pts = [
+                    (row.param_value, row.energy)
+                    for row in rows
+                    if row.branch == branch and row.energy is not None
+                ]
+                if len(pts) < 3:
+                    continue
+                xs = np.array([q[0] for q in pts])
+                ys = np.array([q[1] for q in pts])
+                slope, intercept = np.polyfit(xs, ys, 1)
+                fit = np.abs(slope * xs + intercept - ys).max()
+                worst_fit = max(worst_fit, float(fit))
+                worst_slope = max(worst_slope, abs(slope + iota))
+    ok = worst_fit <= tol and worst_slope <= 1e-10
+    return (
+        "PASS" if ok else "FAIL",
+        worst_fit,
+        f"slope error {worst_slope:.3e} (tol 1e-10), both models and methods",
+    )
 
 
 CHECKS = (

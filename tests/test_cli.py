@@ -231,17 +231,34 @@ class TestErrorContract:
     )
     def test_failure_is_one_json_line(self, capsys, tmp_path, argv, status, error):
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-        code, _, err = run(argv, capsys)
+        code, out, err = run(argv, capsys)
         assert code == status
+        assert out == ""
         assert "Traceback" not in err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == error
 
-    def test_unwritable_path_is_named(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "levels.json"
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("missing/levels.json", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing-dir", "directory"],
+    )
+    def test_unwritable_path_is_named(self, capsys, tmp_path, target, reason):
+        target = tmp_path / target
         _, out, err = run(["energy", *OSC_ARGS, "--out", str(target)], capsys)
         assert out == ""
-        assert json.loads(err)["message"] == f"cannot write {target}: No such file or directory"
+        assert json.loads(err)["message"] == f"cannot write {target}: {reason}"
+
+    def test_unwritable_path_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch):
+        import screwspec.cli as cli_mod
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli_mod, "run_verification", not_reached)
+        code, out, err = run(["verify", "--out", str(tmp_path / "missing" / "r.txt")], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "invalid-input"
 
     @pytest.mark.parametrize(
         "point", [NO_CLOSED_FORM, NO_TRUNCATION_ROOT], ids=["closed-form", "truncation"]
@@ -325,6 +342,20 @@ class TestPerCommandFlags:
         code, out, _ = run(["verify", "--fast", "--seed", "3", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["overall"] == "PASS"
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [["energy", *OSC_ARGS], ["sweep", *SWEEP_ARGS, "--format", "json"]],
+        ids=["energy-json", "sweep-json"],
+    )
+    def test_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.json"
+        _, stdout, _ = run(argv, capsys)
+        code, out, _ = run([*argv, "--out", str(target)], capsys)
+        assert (code, out) == (0, "")
+        assert target.read_bytes() == stdout.encode()
 
 
 class TestSweep:

@@ -11,7 +11,6 @@ from screwspec import (
     Model,
     NegativeFluxWarning,
     PhysicalParams,
-    SpectralParameter,
     derive_params,
     energy_to_spectral,
     spectral_to_energy,
@@ -65,8 +64,7 @@ class TestEnergyConversion:
     def test_inverse_square_example(self):
         p = invsq(mass=1.0, k=1.0, Omega=1.0, ell=1, flux=0.25, beta=0.5)
         assert derive_params(p).iota == 0.25
-        s = SpectralParameter(value=2.0, model=Model.INVERSE_SQUARE)
-        assert spectral_to_energy(p, s) == 1.25
+        assert spectral_to_energy(p, 2.0) == 1.25
 
     def test_round_trip(self):
         rng = random.Random(7)
@@ -83,15 +81,9 @@ class TestEnergyConversion:
                 gamma=rng.uniform(0.0, 1.0),
             )
             value = rng.uniform(-50.0, 50.0)
-            s = SpectralParameter(value=value, model=p.model)
-            back = energy_to_spectral(p, spectral_to_energy(p, s))
-            assert back.value == pytest.approx(value, rel=1e-14, abs=1e-13)
-            assert back.model is p.model
-
-    def test_model_tag_mismatch_rejected(self):
-        s = SpectralParameter(value=1.0, model=Model.INVERSE_SQUARE)
-        with pytest.raises(InvalidParameterError, match="tagged"):
-            spectral_to_energy(osc(), s)
+            back = energy_to_spectral(p, spectral_to_energy(p, value))
+            assert type(back) is float
+            assert back == pytest.approx(value, rel=1e-14, abs=1e-13)
 
 
 class TestValidation:

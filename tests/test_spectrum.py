@@ -11,7 +11,6 @@ from screwspec import (
     Model,
     NegativeDiscriminantError,
     PhysicalParams,
-    SpectralParameter,
     derive_params,
     eval_psi_x_derivatives,
     ground_state_closed_form,
@@ -95,9 +94,7 @@ class TestPolynomialTable:
             table = lambda_polynomials(p, 12)
             for _ in range(8):
                 value = rng.uniform(-20, 20)
-                sol = series_coefficients(
-                    p, SpectralParameter(value=value, model=p.model), 12
-                )
+                sol = series_coefficients(p, value, 12)
                 for i in range(13):
                     assert table.eval(i, value) == pytest.approx(
                         sol.coeffs[i], rel=1e-11, abs=1e-12

@@ -1,9 +1,19 @@
-"""The operator identities that ``verify`` audits, on fixed points and probes."""
+"""The ``verify`` suite: its reports, its check machinery and the operator identities it audits."""
 
+import json
+
+import numpy as np
 import pytest
+from verify_golden import GOLDEN_PATH, record
+from verify_golden import cases as golden_cases
 
-from screwspec import Model, PhysicalParams, gaussian_probe
-from screwspec.verify import changeofvar_consistency, separation_residual
+import screwspec.verify as verify
+from screwspec import Model, PhysicalParams, gaussian_probe, run_verification
+from screwspec.verify import CHECKS, CheckResult, changeofvar_consistency, separation_residual
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+GOLDEN_CASES = golden_cases()
+CHECK_NAMES = [c["name"] for c in GOLDEN["seed-20260814:full"]]
 
 # iota = 1, omega = 1/2, j = 1/2
 P_OSC = PhysicalParams(
@@ -90,3 +100,36 @@ class TestSeparation:
             separation_residual(P_OSC, 1.0, probe, 0.0)
         with pytest.raises(ValueError, match="differ"):
             separation_residual(P_OSC, 1.0, probe, P_OSC.beta)
+
+
+class TestGolden:
+    """Reports against ``data/verify_golden.json`` (see ``verify_golden.py``)."""
+
+    def test_every_case_is_recorded(self):
+        assert sorted(GOLDEN) == sorted(GOLDEN_CASES)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_report_is_unchanged(self, name):
+        assert record(*GOLDEN_CASES[name]) == GOLDEN[name]
+
+
+class TestChecks:
+    def test_ten_checks_in_order_called_as_rng_fast(self):
+        rng = np.random.default_rng(3)
+        results = [check(rng, fast=True) for check in CHECKS]
+        assert all(isinstance(r, CheckResult) for r in results)
+        assert [r.name for r in results] == CHECK_NAMES
+        assert len(CHECKS) == 10
+
+    def test_a_raising_measurement_is_a_fail_and_the_suite_goes_on(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "series_coefficients", boom)
+        report = run_verification(fast=True)
+        failed = report.check("series-residual")
+        assert (failed.status, failed.measured, failed.tolerance) == ("FAIL", None, 1e-9)
+        assert failed.detail == "RuntimeError: boom"
+        assert [c.name for c in report.checks] == CHECK_NAMES
+        assert all(c.status != "FAIL" and c.measured is not None for c in report.checks[1:])
+        assert report.overall_pass is False
