@@ -11,8 +11,20 @@ Liouville normal form with ``psi = |r^2 - beta^2|^(-1/4) u``, giving
     U(r) = (mass omega0 r)^2 + 2 mass gamma / r^2 + iota^2/(r^2-beta^2)
            - (r^2 + 2 beta^2) / (4 (r^2 - beta^2)^2),
 
-which is discretised on a uniform grid with Dirichlet ends and solved
-with a Sturm-sequence tridiagonal eigensolver.
+which is discretised on a uniform grid with Dirichlet ends.  The lowest
+eigenpairs of the tridiagonal matrix come from Sturm-sequence bisection
+and inverse iteration (LAPACK ``stebz`` and ``stein``).  Bisection only
+has to place each eigenvalue well inside its gap for ``stein`` to
+resolve the vector, so it stops at tau, a thousandth of 3 pi^2 / L^2 on
+a grid of length L: the fundamental gap of a convex potential on an
+interval of that length (Andrews & Clutterbuck, JAMS 24, 2011).  Each
+eigenvalue is then the Rayleigh quotient of its vector, whose error is
+second order in the vector's: closer than bisection to full precision,
+whose error scales with the norm of the matrix, about 4 / h^2.  Where
+two bisection values lie within tau of each other, or a quotient lands
+more than tau from its bisection value, ``stein`` may not have
+separated the vectors, and the solve is redone with bisection to full
+precision.
 
 Near r = 0 the potential behaves like c0 / r^2, and for c0 close to the
 critical value -1/4 a naive diagonal converges only like 1/log(h).  The
@@ -65,6 +77,9 @@ DEFAULT_POINTS = 4000
 DEFAULT_RESIDUAL_TOL = 1e-6
 
 RESIDUAL_TRIM = 0.05
+
+# bisection tolerance as a fraction of the gap bound 3 pi^2 / L^2
+BISECTION_GAP_FRACTION = 1e-3
 
 
 class GridMode(str, Enum):
@@ -258,7 +273,9 @@ def _residual_norms(
             + np.abs((eigenvalues[jcol] - pot[mid]) * psi[mid])
         )
         band = slice(trim, len(res) - trim)
-        norms[jcol] = np.linalg.norm(res[band]) / np.linalg.norm(terms[band])
+        # np.sum, not np.linalg.norm: a BLAS reduction wakes OpenBLAS's
+        # thread pool, which then competes with the next eigensolve
+        norms[jcol] = math.sqrt(np.sum(res[band] ** 2) / np.sum(terms[band] ** 2))
     return norms
 
 
@@ -271,6 +288,39 @@ def eigh_tridiagonal(d, e, **kwargs):
     from scipy.linalg import eigh_tridiagonal as solve
 
     return solve(d, e, **kwargs)
+
+
+def _lowest_eigenpairs(
+    diag: np.ndarray, off: np.ndarray, n_eigs: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``n_eigs`` eigenpairs of the symmetric tridiagonal (diag, off).
+
+    Bisection stops at ``tol``; each eigenvalue is the Rayleigh quotient
+    of its ``stein`` vector v, taken as
+    (sum r_i v_i^2 - sum off_i (v_{i+1} - v_i)^2) / sum v_i^2 with r the
+    row sums.  Written so, it never subtracts two sums of the size of
+    the matrix norm: the row sums are exact differences of the stored
+    entries, and where ``off`` <= 0 the second sum only adds.
+
+    Bisection values closer than ``tol`` leave their vectors to ``stein``
+    unresolved, and a quotient more than ``tol`` from its bisection value
+    means ``stein`` did not separate them; either way the pairs are
+    recomputed with bisection to full precision.
+    """
+    select = dict(select="i", select_range=(0, n_eigs - 1))
+    values, vectors = eigh_tridiagonal(diag, off, tol=tol, **select)
+    rows = diag.copy()
+    rows[:-1] += off
+    rows[1:] += off
+    quotients = np.empty(n_eigs)
+    for jcol in range(n_eigs):  # one column at a time: no n x n_eigs temporaries
+        v = vectors[:, jcol]
+        weight = v * v
+        step = np.diff(v)
+        quotients[jcol] = (np.sum(rows * weight) - np.sum(off * step**2)) / np.sum(weight)
+    if np.all(np.diff(values) > tol) and np.all(np.abs(quotients - values) <= tol):
+        return quotients, vectors
+    return eigh_tridiagonal(diag, off, tol=0.0, **select)
 
 
 def oracle_eigenvalues(
@@ -304,9 +354,8 @@ def oracle_eigenvalues(
         )
     r, h, diag = _assemble(p, grid)
     off = np.full(grid.n_points - 1, -1.0 / h**2)
-    eigenvalues, vectors = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, n_eigs - 1)
-    )
+    gap = 3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2
+    eigenvalues, vectors = _lowest_eigenpairs(diag, off, n_eigs, BISECTION_GAP_FRACTION * gap)
     norms = _residual_norms(p, grid, r, h, eigenvalues, vectors)
     if residual_tol is not None and np.any(norms > residual_tol):
         worst = float(norms.max())

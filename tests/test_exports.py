@@ -39,6 +39,23 @@ def test_the_oracle_imports_params_alone():
     assert package == {"params"}
 
 
+def test_the_oracle_calls_no_blas_reduction():
+    # A BLAS call wakes OpenBLAS's thread pool, whose spinning threads then
+    # compete with the next tridiagonal eigensolve.  With np.linalg.norm in
+    # the residual gate replaced by np.sum, the `grids` benchmark's p90
+    # latency fell from 158-166 ms to 100-112 ms (2 CPUs, three seeds), the
+    # same as the old code under OPENBLAS_NUM_THREADS=1 (101-107 ms).
+    blas = {"linalg", "dot", "vdot", "inner", "matmul"}  # np.linalg.*, np.dot, x.dot, ...
+    path = pathlib.Path(screwspec.__file__).with_name("oracle.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in blas:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 COLD_START = textwrap.dedent(
     """
     import contextlib, io, sys

@@ -16,6 +16,7 @@ from screwspec import (
     oracle_csv,
     oracle_eigenvalues,
 )
+import screwspec.oracle as oracle_mod
 from screwspec.cli import main
 
 P_OSC = PhysicalParams(
@@ -252,6 +253,148 @@ class TestEigenvalues:
         assert (g.r_min, g.r_max) == (0.0, pytest.approx(P_OSC.beta - 1e-6))
         g = GridSpec.default(GridMode.FLAT, P_INV)
         assert (g.r_min, g.r_max) == (0.0, 40.0)
+
+
+EPS = np.finfo(float).eps
+
+
+def seeded_grids():
+    """Seeded points of both models on every mode at N = 500 to 16000.
+
+    The untrapped model's outer grid is also solved in boxes of 80 and
+    160, past its default of 40.
+    """
+    rng = np.random.default_rng(20261018)
+    u = rng.uniform
+    grids = []
+    for model in (Model.OSCILLATOR, Model.INVERSE_SQUARE):
+        for _ in range(2):
+            common = dict(mass=u(0.8, 1.25), beta=u(0.3, 0.7), k=u(0.3, 1.5),
+                          ell=int(rng.integers(0, 3)), flux=u(0.0, 1.0), gamma=u(0.0, 0.5),
+                          Omega=u(-0.5, 0.5))
+            if model is Model.OSCILLATOR:
+                p = PhysicalParams(model=model, omega0=u(0.8, 1.25), delta=u(-0.5, 0.5), **common)
+            else:
+                p = PhysicalParams(model=model, **common)
+            for n in (500, 2000, 4000, 16000):
+                for mode in GridMode:
+                    grids.append((p, GridSpec.default(mode, p, n)))
+                if model is Model.INVERSE_SQUARE:
+                    for r_max in (80.0, 160.0):
+                        grids.append((p, GridSpec(GridMode.OUTER, p.beta + 1e-6, r_max, n)))
+    return grids
+
+
+def default_bisection_eigenpairs(diag, off, n_eigs):
+    """The eigensolve the Rayleigh quotients replaced, kept as the reference path.
+
+    Bisection to scipy's default tolerance, ulp * ||T||.
+    """
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigs - 1))
+
+
+@pytest.fixture(scope="module")
+def seeded_solves():
+    """Each seeded grid solved by the oracle, by the reference path and by tol=1e-300.
+
+    Bisection with ``tol=1e-300`` still has an error of order eps ||T||,
+    with ||T|| about 4 / h^2, so distances to it are measured in that
+    unit.
+    """
+    solves = []
+    for p, grid in seeded_grids():
+        r, h, diag = oracle_mod._assemble(p, grid)
+        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        finest = eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, 4), tol=1e-300, eigvals_only=True
+        )
+        values, vectors = default_bisection_eigenpairs(diag, off, 5)
+        result = oracle_eigenvalues(p, grid, residual_tol=None)
+        unit = EPS * np.max(np.abs(diag) + 2.0 / h**2)
+        solves.append(
+            dict(
+                label=f"{p.model.value} {grid.mode.value}"
+                + (f" r_max={grid.r_max:g}" if grid.mode is GridMode.OUTER else ""),
+                quotient=np.max(np.abs(result.eigenvalues - finest)) / unit,
+                bisection=np.max(np.abs(values - finest)) / unit,
+                gate=bool(np.any(result.residual_norms > oracle_mod.DEFAULT_RESIDUAL_TOL)),
+                bisection_gate=bool(
+                    np.any(oracle_mod._residual_norms(p, grid, r, h, values, vectors)
+                           > oracle_mod.DEFAULT_RESIDUAL_TOL)
+                ),
+            )
+        )
+    return solves
+
+
+class TestEigensolve:
+    """Bisection to tau, Rayleigh-quotient eigenvalues, and the retry."""
+
+    def test_within_half_an_eps_norm_of_the_finest_bisection(self, seeded_solves):
+        assert len(seeded_solves) == 64
+        worst = max(s["quotient"] for s in seeded_solves)
+        assert worst <= 0.5, worst
+
+    def test_closer_to_the_finest_bisection_than_the_reference_path(self, seeded_solves):
+        # per class of grid, the largest distance of the quotients against
+        # that of the reference path; equal only if the quotients were not taken
+        labels = {s["label"] for s in seeded_solves}
+        assert len(labels) == 8
+        for label in sorted(labels):
+            group = [s for s in seeded_solves if s["label"] == label]
+            quotient = max(s["quotient"] for s in group)
+            bisection = max(s["bisection"] for s in group)
+            assert quotient < bisection, (label, quotient, bisection)
+
+    def test_residual_gate_verdicts_match_the_reference_path(self, seeded_solves):
+        verdicts = [(s["gate"], s["bisection_gate"]) for s in seeded_solves]
+        assert [a for a, _ in verdicts] == [b for _, b in verdicts]
+        assert {a for a, _ in verdicts} == {True, False}  # both verdicts are exercised
+
+    @staticmethod
+    def counted(monkeypatch, wrong_by=0.0):
+        """Record the ``tol`` of each eigensolve; optionally shift the loose one's values."""
+        solve = oracle_mod.eigh_tridiagonal
+        tols = []
+
+        def counting(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            values, vectors = solve(*args, **kwargs)
+            return (values + wrong_by if kwargs["tol"] else values), vectors
+
+        monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
+        return tols
+
+    def test_a_double_well_takes_the_retry(self, monkeypatch):
+        # Each low level of a quartic double well is a pair split far below
+        # tau, so bisection cannot tell the two apart.  Both quotients would
+        # still lie within the splitting of the pair; the retry is taken
+        # because the pair's bisection values lie within tau of each other.
+        n, length = 200, 10.0
+        h = length / (n + 1)
+        x = -length / 2 + h * np.arange(1, n + 1)
+        diag = 2.0 / h**2 + 100.0 * (x**2 - 4.0) ** 2 / 16.0
+        off = np.full(n - 1, -1.0 / h**2)
+        dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:5]
+        tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / length**2
+        assert dense[1] - dense[0] < 1e-5 * tau
+        tols = self.counted(monkeypatch)
+        values, vectors = oracle_mod._lowest_eigenpairs(diag, off, 5, tau)
+        assert tols == [tau, 0.0]
+        assert np.max(np.abs(values - dense)) <= 20 * EPS * np.max(np.abs(diag) + 2.0 / h**2)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(5))) <= 1e-12
+
+    def test_a_stray_quotient_takes_the_retry(self, monkeypatch):
+        # well-separated levels whose bisection values land 2 tau off
+        p = flat_critical()
+        grid = GridSpec.default(GridMode.FLAT, p, n_points=500)
+        _, h, diag = oracle_mod._assemble(p, grid)
+        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / grid.r_max**2
+        tols = self.counted(monkeypatch, wrong_by=2.0 * tau)
+        values, _ = oracle_mod._lowest_eigenpairs(diag, off, 5, tau)
+        assert tols == [tau, 0.0]
+        assert values.tobytes() == default_bisection_eigenpairs(diag, off, 5)[0].tobytes()
 
 
 class TestReport:

@@ -9,7 +9,9 @@ recorded one.
 
 The file comes from commit 3038f8b, the last one before the checks
 became ``@_check`` functions and the series layer took spectral values
-as bare floats.  It can be rewritten from any checkout with::
+as bare floats.  The measured value of ``flat-oracle-validation`` was
+re-recorded when the oracle's eigenvalues became Rayleigh quotients.
+It can be rewritten from any checkout with::
 
     PYTHONPATH=<checkout>/src python tests/verify_golden.py
 """
