@@ -12,7 +12,6 @@ from .oracle import (
     GridSpec,
     OracleAccuracyError,
     OracleResult,
-    effective_potential,
     flat_exact_spectrum,
     oracle_csv,
     oracle_eigenvalues,
@@ -89,7 +88,6 @@ __all__ = [
     "GridSpec",
     "OracleResult",
     "OracleAccuracyError",
-    "effective_potential",
     "oracle_eigenvalues",
     "flat_exact_spectrum",
     "oracle_csv",

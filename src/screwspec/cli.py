@@ -42,6 +42,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .oracle import (
+    DEFAULT_POINTS,
+    DEFAULT_RESIDUAL_TOL,
     GridMode,
     GridSpec,
     OracleAccuracyError,
@@ -225,6 +227,11 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_oracle(args: argparse.Namespace) -> None:
     if args.mode == "core" and args.rmax is not None:
         raise InvalidParameterError("--rmax does not apply to the core grid; it ends at beta")
+    if args.mode == "all" and args.rmin is not None:
+        raise InvalidParameterError(
+            "--rmin does not apply to --mode all: the outer grid starts at beta, "
+            "where the core grid ends"
+        )
     p = _params_from(args)
     modes = list(GridMode) if args.mode == "all" else [GridMode(args.mode)]
     results = []
@@ -345,11 +352,11 @@ def build_parser() -> _Parser:
     oracle.add_argument(
         "--mode", choices=["outer", "core", "flat", "all"], default="all"
     )
-    oracle.add_argument("--points", type=int, default=4000)
+    oracle.add_argument("--points", type=int, default=DEFAULT_POINTS)
     oracle.add_argument("--rmin", type=float, default=None)
     oracle.add_argument("--rmax", type=float, default=None)
     oracle.add_argument("--neigs", type=int, default=5)
-    oracle.add_argument("--residual-tol", type=float, default=1e-6)
+    oracle.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL)
     oracle.add_argument(
         "--report",
         action="store_true",

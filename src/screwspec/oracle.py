@@ -5,15 +5,18 @@ recurrence, no closed forms.  The module imports nothing from the
 package but :mod:`screwspec.params`, so the grid never sees the other
 routes; lining its eigenvalues up against theirs is the CLI's
 ``oracle --report``.  The radial equation is brought to
-Liouville normal form with ``psi = |r^2 - beta^2|^(-1/4) u``, giving
+Liouville normal form with ``psi = |r^2 - b^2|^(-1/4) u``, giving
 
     -u'' + U(r) u = spectral * u,
-    U(r) = (mass omega0 r)^2 + 2 mass gamma / r^2 + iota^2/(r^2-beta^2)
-           - (r^2 + 2 beta^2) / (4 (r^2 - beta^2)^2),
+    U(r) = (mass omega0 r)^2 + 2 mass gamma / r^2 + iota^2/(r^2-b^2)
+           - (r^2 + 2 b^2) / (4 (r^2 - b^2)^2),
 
-which is discretised on a uniform grid with Dirichlet ends.  The lowest
-eigenpairs of the tridiagonal matrix come from Sturm-sequence bisection
-and inverse iteration (LAPACK ``stebz`` and ``stein``).  Bisection only
+with b = beta on the outer and core grids.  The flat grid is the same
+problem at b = 0, where iota = ell - flux: the beta -> 0 limit, whose
+oscillator spectrum is known exactly.  U is discretised on a uniform
+grid with Dirichlet ends.  The lowest eigenpairs of the tridiagonal
+matrix come from Sturm-sequence bisection and inverse iteration
+(LAPACK ``stebz`` and ``stein``).  Bisection only
 has to place each eigenvalue well inside its gap for ``stein`` to
 resolve the vector, so it stops at tau, a thousandth of 3 pi^2 / L^2 on
 a grid of length L: the fundamental gap of a convex potential on an
@@ -26,14 +29,15 @@ more than tau from its bisection value, ``stein`` may not have
 separated the vectors, and the solve is redone with bisection to full
 precision.
 
-Near r = 0 the potential behaves like c0 / r^2, and for c0 close to the
-critical value -1/4 a naive diagonal converges only like 1/log(h).  The
-default grids therefore start exactly at r = 0 and replace the c0 / r^2
-samples by a matched diagonal that annihilates the exact power r^nu,
-nu = 1/2 + sqrt(c0 + 1/4), restoring clean O(h^2) convergence in every
-channel.  Whether a grid gets the matched diagonal follows from the grid
-alone: flat and core grids that start at r = 0 do, every other grid
-samples U directly.
+Near r = 0 the potential behaves like c0 / r^2, with c0 = 2 mass gamma
+plus, at b = 0, iota^2 - 1/4.  For c0 close to the critical value -1/4
+a naive diagonal converges only like 1/log(h).  The default grids
+therefore start exactly at r = 0 and replace the c0 / r^2 samples by a
+matched diagonal that annihilates the exact power r^nu, nu = 1/2 +
+sqrt(c0 + 1/4), restoring clean O(h^2) convergence in every channel.
+Whether a grid gets the matched diagonal follows from the grid alone:
+flat and core grids that start at r = 0 do, every other grid samples U
+directly.
 
 Each eigenpair is back-substituted into the first-derivative form of the
 radial equation and the normalised residual is measured on the interior
@@ -57,14 +61,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .params import InvalidParameterError, Model, PhysicalParams, derive_params
+from .params import InvalidParameterError, Model, PhysicalParams
 
 __all__ = [
     "GridMode",
     "GridSpec",
     "OracleResult",
     "OracleAccuracyError",
-    "effective_potential",
     "oracle_eigenvalues",
     "flat_exact_spectrum",
     "oracle_csv",
@@ -107,7 +110,7 @@ class GridSpec:
 
     Flat and core grids with ``r_min == 0`` use the matched diagonal at
     the r = 0 singularity; every other grid uses the plain sampled
-    diagonal.
+    diagonal.  ``mode`` may be given by its value, as ``"outer"``.
     """
 
     mode: GridMode
@@ -116,6 +119,13 @@ class GridSpec:
     n_points: int = DEFAULT_POINTS
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "mode", GridMode(self.mode))
+        except ValueError:
+            raise InvalidParameterError(f"unknown grid mode {self.mode!r}") from None
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, (int, np.integer)):
+            raise InvalidParameterError(f"n_points must be an integer: got {self.n_points!r}")
+        object.__setattr__(self, "n_points", int(self.n_points))
         if self.n_points < 64:
             raise InvalidParameterError(
                 f"n_points must be at least 64: got {self.n_points}"
@@ -137,14 +147,14 @@ class GridSpec:
         while flat and core grids start exactly at r = 0 so the matched
         diagonal applies.
         """
-        mode = GridMode(mode)
         if p.omega0 > 0:
             r_far = max(10.0, 6.0 / math.sqrt(p.mass * p.omega0))
         else:
             r_far = 40.0
-        if mode is GridMode.OUTER:
+        # ==, not is: a mode given by its value is checked by GridSpec itself
+        if mode == GridMode.OUTER:
             return GridSpec(mode=mode, r_min=p.beta + EDGE_EPS, r_max=r_far, n_points=n_points)
-        if mode is GridMode.CORE:
+        if mode == GridMode.CORE:
             return GridSpec(mode=mode, r_min=0.0, r_max=p.beta - EDGE_EPS, n_points=n_points)
         return GridSpec(mode=mode, r_min=0.0, r_max=r_far, n_points=n_points)
 
@@ -161,89 +171,54 @@ class OracleResult:
     r_max: float
 
 
-def _singular_coefficient(p: PhysicalParams, mode: GridMode) -> float:
-    """Coefficient c0 of the r -> 0 singularity c0 / r^2 of U."""
-    if mode is GridMode.FLAT:
-        iota_flat = p.ell - p.flux
-        return iota_flat**2 + 2.0 * p.mass * p.gamma - 0.25
-    if mode is GridMode.CORE:
-        return 2.0 * p.mass * p.gamma
-    raise ValueError("the outer grid does not reach r = 0")
+def _coefficients(
+    p: PhysicalParams, mode: GridMode, r: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The radial equation at the nodes r, in both of its forms.
 
-
-def effective_potential(
-    p: PhysicalParams, mode: GridMode, r: float | np.ndarray
-) -> float | np.ndarray:
-    """Liouville-normal-form potential U(r) for one mode.
-
-    Flat mode is the beta -> 0 limit: the dislocation terms collapse
-    onto the centrifugal one, ``U = (M w0 r)^2 + (2 M gamma +
-    (ell-flux)^2 - 1/4)/r^2``.  Input r must avoid the singular points
-    (0, and beta for the outer/core modes).
+    Returns ``(c0, damp, W, U, weight)``: ``psi'' + damp psi' +
+    (spectral - W) psi = 0``, its Liouville normal form ``-u'' + U u =
+    spectral u`` with ``psi = weight * u``, and the coefficient of U's
+    c0 / r^2 singularity at r = 0.  The outer and core grids take the
+    formulas at b = beta; the flat grid is the same problem at b = 0.
     """
-    mode = GridMode(mode)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("r must be positive")
-    d = derive_params(p)
-    trap = (p.mass * p.omega0 * r) ** 2
-    if mode is GridMode.FLAT:
-        c0 = _singular_coefficient(p, mode)
-        out = trap + c0 / r**2
-    else:
-        g = r**2 - p.beta**2
-        if np.any(g == 0):
-            raise ValueError(f"r must differ from beta = {p.beta}")
-        out = (
-            trap
-            + 2.0 * p.mass * p.gamma / r**2
-            + d.iota**2 / g
-            - (r**2 + 2.0 * p.beta**2) / (4.0 * g**2)
-        )
-    return out if out.ndim else float(out)
+    b = 0.0 if mode is GridMode.FLAT else p.beta
+    iota = p.ell - p.flux - b * p.k  # derive_params' iota at beta = b
+    g = r**2 - b**2
+    pot = (p.mass * p.omega0 * r) ** 2 + 2.0 * p.mass * p.gamma / r**2 + iota**2 / g
+    normal = pot - (r**2 + 2.0 * b**2) / (4.0 * g**2)
+    c0 = 2.0 * p.mass * p.gamma + (iota**2 - 0.25 if b == 0.0 else 0.0)
+    return c0, r / g, pot, normal, np.abs(g) ** -0.25
 
 
-def _assemble(p: PhysicalParams, grid: GridSpec) -> tuple[np.ndarray, float, np.ndarray]:
-    """Interior nodes, spacing, and the diagonal of the tridiagonal matrix."""
+def _assemble(
+    p: PhysicalParams, grid: GridSpec
+) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Spacing, the diagonal of the tridiagonal matrix, and the residual gate's inputs.
+
+    The gate's inputs are ``(weight, damp, W)`` of :func:`_coefficients`.
+    A grid that starts at r = 0 (flat or core: an outer grid starts at or
+    above beta) takes the matched diagonal there.
+    """
     n = grid.n_points
     h = (grid.r_max - grid.r_min) / (n + 1)
     idx = np.arange(1, n + 1, dtype=float)
     r = grid.r_min + idx * h
-    if grid.r_min == 0.0 and grid.mode in (GridMode.FLAT, GridMode.CORE):
-        c0 = _singular_coefficient(p, grid.mode)
+    c0, damp, pot, normal, weight = _coefficients(p, grid.mode, r)
+    if grid.r_min == 0.0:
         nu = 0.5 + math.sqrt(c0 + 0.25)
         up = (idx + 1.0) ** nu
         down = np.where(idx > 1, idx - 1.0, 0.0) ** nu
         w = (up - 2.0 * idx**nu + down) / (idx**nu * h * h)
-        rest = effective_potential(p, grid.mode, r) - c0 / r**2
-        diag = 2.0 / h**2 + rest + w
+        diag = 2.0 / h**2 + (normal - c0 / r**2) + w
     else:
-        diag = 2.0 / h**2 + effective_potential(p, grid.mode, r)
-    return r, h, diag
-
-
-def _first_form_pieces(
-    p: PhysicalParams, mode: GridMode, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Damping p(r) and potential W(r) of psi'' + p psi' + (spectral - W) psi = 0."""
-    d = derive_params(p)
-    trap = (p.mass * p.omega0 * r) ** 2
-    if mode is GridMode.FLAT:
-        iota_flat = p.ell - p.flux
-        damp = 1.0 / r
-        pot = trap + (2.0 * p.mass * p.gamma + iota_flat**2) / r**2
-    else:
-        g = r**2 - p.beta**2
-        damp = r / g
-        pot = trap + 2.0 * p.mass * p.gamma / r**2 + d.iota**2 / g
-    return damp, pot
+        diag = 2.0 / h**2 + normal
+    return h, diag, (weight, damp, pot)
 
 
 def _residual_norms(
-    p: PhysicalParams,
-    grid: GridSpec,
-    r: np.ndarray,
     h: float,
+    gate: tuple[np.ndarray, np.ndarray, np.ndarray],
     eigenvalues: np.ndarray,
     vectors: np.ndarray,
 ) -> np.ndarray:
@@ -254,12 +229,8 @@ def _residual_norms(
     is taken over the interior band (5% trimmed at each end, away from
     the endpoint singularities where the probe stencil is unreliable).
     """
-    if grid.mode is GridMode.FLAT:
-        weight = r ** (-0.5)
-    else:
-        weight = np.abs(r**2 - p.beta**2) ** (-0.25)
-    damp, pot = _first_form_pieces(p, grid.mode, r)
-    trim = max(5, int(RESIDUAL_TRIM * (len(r) - 2)))
+    weight, damp, pot = gate
+    trim = max(5, int(RESIDUAL_TRIM * (len(weight) - 2)))
     norms = np.empty(eigenvalues.shape)
     for jcol in range(vectors.shape[1]):
         psi = weight * vectors[:, jcol]
@@ -352,11 +323,11 @@ def oracle_eigenvalues(
         raise InvalidParameterError(
             f"a core grid must end at or below beta = {p.beta}: got r_max = {grid.r_max}"
         )
-    r, h, diag = _assemble(p, grid)
+    h, diag, gate = _assemble(p, grid)
     off = np.full(grid.n_points - 1, -1.0 / h**2)
     gap = 3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2
     eigenvalues, vectors = _lowest_eigenpairs(diag, off, n_eigs, BISECTION_GAP_FRACTION * gap)
-    norms = _residual_norms(p, grid, r, h, eigenvalues, vectors)
+    norms = _residual_norms(h, gate, eigenvalues, vectors)
     if residual_tol is not None and np.any(norms > residual_tol):
         worst = float(norms.max())
         raise OracleAccuracyError(

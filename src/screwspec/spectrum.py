@@ -152,7 +152,6 @@ class LambdaPolynomialTable:
     polynomial of degree i in the spectral parameter (c_0 = 1).
     """
 
-    params: PhysicalParams
     entries: tuple[np.ndarray, ...]
 
     @property
@@ -221,7 +220,7 @@ def lambda_polynomials(p: PhysicalParams, n_max: int) -> LambdaPolynomialTable:
     table, _ = _table(d.iota**2, d.j, d.omega, p.beta**2, n_max)
     # a tuple of a list, not of an iterator: CPython resizes the latter, and the
     # resized tuples pile up on its free lists, raising the peak memory
-    return LambdaPolynomialTable(params=p, entries=tuple([np.array(c) for c in table]))
+    return LambdaPolynomialTable(entries=tuple([np.array(c) for c in table]))
 
 
 def _companions(coeffs: np.ndarray) -> np.ndarray:
@@ -307,8 +306,6 @@ def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
     # Python floats: Horner's rule runs faster on them than on numpy scalars
     table = [c.tolist() for c in lambda_polynomials(p, n + 2).entries]
     roots = _real_roots(table[n + 1])
-    if len(roots) > n + 1:
-        raise TruncationError(f"{len(roots)} roots from a degree-{n + 1} polynomial")
     disc = None
     if n == 1:
         c0, c1, c2 = table[2]

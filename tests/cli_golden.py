@@ -9,10 +9,15 @@ with the recorded bytes.
 
 The ``energy`` and ``wavefunction`` cases come from commit 3483a2d, the
 last one before the level CSV writer moved from the CLI into
-``spectrum.levels_to_csv``.  The oracle cases were last recorded when the
+``spectrum.levels_to_csv``.  The oracle cases were recorded when the
 oracle's eigenvalues became Rayleigh quotients (their eigenvalues moved
-by at most 5e-10 relative, their residual norms by at most 0.5%).  The
-file can be rewritten from any checkout with::
+by at most 5e-10 relative, their residual norms by at most 0.5%), and
+their flat ``residual_norm`` cells again when the flat grid became the
+outer and core formulas at beta = 0: the gate's psi weight and damping
+are now |r^2 - 0|^(-1/4) and r / r^2 rather than r^(-1/2) and 1 / r,
+which round differently, so those norms moved by at most 3.4e-7
+relative.  Every other cell, flat eigenvalues included, kept its bytes.
+The file can be rewritten from any checkout with::
 
     PYTHONPATH=<checkout>/src python tests/cli_golden.py
 """

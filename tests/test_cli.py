@@ -452,6 +452,20 @@ class TestOracle:
         assert payload["error"] == "invalid-input"
         assert "--rmax" in payload["message"]
 
+    def test_rmin_with_all_modes_is_exit_1_before_any_solve(self, capsys, monkeypatch):
+        # no --rmin suits both the outer grid (at or above beta) and the core grid (below it)
+        import screwspec.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "oracle_eigenvalues", lambda *a, **k: calls.append(a))
+        code, out, err = run(["oracle", *OSC_ARGS, "--mode", "all", "--rmin", "0.6"], capsys)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert "--rmin" in payload["message"]
+        assert calls == []
+
     def test_rmax_reaches_outer_and_flat_grids_only(self, capsys):
         code, out, _ = run(
             ["oracle", *OSC_ARGS, "--points", "2000", "--neigs", "1",

@@ -11,7 +11,6 @@ from screwspec import (
     Model,
     OracleAccuracyError,
     PhysicalParams,
-    effective_potential,
     flat_exact_spectrum,
     oracle_csv,
     oracle_eigenvalues,
@@ -41,16 +40,24 @@ def flat_critical():
     )
 
 
+def coefficients(p, mode, r):
+    """``(c0, damp, W, U, weight)`` of the oracle at the nodes r."""
+    return oracle_mod._coefficients(p, mode, np.asarray(r, dtype=float))
+
+
 class TestPotential:
     def test_flat_value(self):
         p = PhysicalParams(
             model=Model.OSCILLATOR, mass=1.0, omega0=1.0, beta=0.5, k=1.0, ell=1
         )
         r = 1.3
+        c0, damp, pot, normal, weight = coefficients(p, GridMode.FLAT, [r])
+        assert c0 == (1.0 - 0.0) ** 2 + 0.0 - 0.25
         expected = (1.0 * 1.0 * r) ** 2 + ((1.0 - 0.0) ** 2 + 0.0 - 0.25) / r**2
-        assert effective_potential(p, GridMode.FLAT, r) == pytest.approx(
-            expected, rel=1e-15
-        )
+        assert normal[0] == pytest.approx(expected, rel=1e-15)
+        assert pot[0] == pytest.approx(r**2 + 1.0 / r**2, rel=1e-15)
+        assert damp[0] == pytest.approx(1.0 / r, rel=1e-15)
+        assert weight[0] == pytest.approx(r**-0.5, rel=1e-15)
 
     def test_outer_value(self):
         p = PhysicalParams(
@@ -65,16 +72,22 @@ class TestPotential:
         r = 1.3
         iota = 1.0 - 0.0 - 0.5 * 1.0
         g = r**2 - 0.25
+        c0, damp, pot, normal, weight = coefficients(p, GridMode.OUTER, [r])
+        assert c0 == 2 * 0.3
         expected = r**2 + 0.6 / r**2 + iota**2 / g - (r**2 + 0.5) / (4 * g**2)
-        assert effective_potential(p, GridMode.OUTER, r) == pytest.approx(
-            expected, rel=1e-15
-        )
+        assert normal[0] == pytest.approx(expected, rel=1e-15)
+        assert pot[0] == pytest.approx(r**2 + 0.6 / r**2 + iota**2 / g, rel=1e-15)
+        assert damp[0] == pytest.approx(r / g, rel=1e-15)
+        assert weight[0] == pytest.approx(g**-0.25, rel=1e-15)
 
-    def test_normal_form_matches_first_derivative_form(self):
-        # Removing the first-derivative term p = r/(r^2 - beta^2) via
-        # psi = u exp(-int p/2) shifts the potential by p^2/4 + p'/2;
-        # p' is written out independently here, so a wrong collapse of
-        # the correction term in the production code would show up.
+    @pytest.mark.parametrize("mode", list(GridMode))
+    def test_normal_form_matches_first_derivative_form(self, mode):
+        # Removing the first-derivative term damp of psi'' + damp psi' +
+        # (spectral - W) psi = 0 via psi = u exp(-int damp/2) shifts the
+        # potential by damp^2/4 + damp'/2; damp' is written out
+        # independently here, so a wrong collapse of the correction term
+        # in the production code would show up.  The flat grid's damp is
+        # 1/r, with damp' = -1/r^2.
         p = PhysicalParams(
             model=Model.OSCILLATOR,
             mass=1.3,
@@ -85,29 +98,42 @@ class TestPotential:
             flux=0.4,
             gamma=0.25,
         )
-        from screwspec.params import derive_params
+        radii = {GridMode.CORE: (0.2, 0.45), GridMode.OUTER: (0.75, 1.1, 2.4),
+                 GridMode.FLAT: (0.2, 0.75, 2.4)}[mode]
+        _, damp, pot, normal, _ = coefficients(p, mode, radii)
+        for i, r in enumerate(radii):
+            if mode is GridMode.FLAT:
+                ddamp = -1.0 / r**2
+                first_form = (
+                    (p.mass * p.omega0 * r) ** 2
+                    + (2 * p.mass * p.gamma + (p.ell - p.flux) ** 2) / r**2
+                )
+            else:
+                g = r**2 - p.beta**2
+                ddamp = -(r**2 + p.beta**2) / g**2
+                first_form = (
+                    (p.mass * p.omega0 * r) ** 2
+                    + 2 * p.mass * p.gamma / r**2
+                    + (p.ell - p.flux - p.beta * p.k) ** 2 / g
+                )
+            assert pot[i] == pytest.approx(first_form, rel=1e-14)
+            expected = first_form + damp[i] ** 2 / 4.0 + ddamp / 2.0
+            assert normal[i] == pytest.approx(expected, rel=1e-13)
 
-        iota = derive_params(p).iota
-        for r in (0.2, 0.75, 1.1, 2.4):
-            g = r**2 - p.beta**2
-            damp = r / g
-            ddamp = -(r**2 + p.beta**2) / g**2
-            first_form = (
-                (p.mass * p.omega0 * r) ** 2
-                + 2 * p.mass * p.gamma / r**2
-                + iota**2 / g
-            )
-            mode = GridMode.CORE if r < p.beta else GridMode.OUTER
-            expected = first_form + damp**2 / 4.0 + ddamp / 2.0
-            assert effective_potential(p, mode, r) == pytest.approx(
-                expected, rel=1e-13
-            )
-
-    def test_singular_points_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            effective_potential(P_OSC, GridMode.FLAT, 0.0)
-        with pytest.raises(ValueError, match="differ"):
-            effective_potential(P_OSC, GridMode.OUTER, P_OSC.beta)
+    def test_vanishing_beta_approaches_the_flat_grid(self):
+        # The flat grid is the outer formulas at b = 0; at beta = 1e-6 the
+        # outer coefficients differ from the flat ones at O(beta) (iota
+        # moves by beta k), away from r = beta.
+        beta = 1e-6
+        p = PhysicalParams(
+            model=Model.OSCILLATOR, mass=1.1, omega0=1.3, beta=beta, k=0.8, ell=1,
+            flux=0.3, gamma=0.2,
+        )
+        r = np.linspace(0.1, 8.0, 400)
+        outer = coefficients(p, GridMode.OUTER, r)[1:]
+        flat = coefficients(p, GridMode.FLAT, r)[1:]
+        for name, a, b in zip(("damp", "W", "U", "weight"), outer, flat):
+            assert np.max(np.abs(a - b) / np.abs(b)) <= 10 * beta, name
 
 
 class TestFlatExact:
@@ -150,7 +176,7 @@ class TestEigenvalues:
         n = 4000
         h = 10.0 / (n + 1)
         r = np.arange(1, n + 1) * h
-        diag = 2.0 / h**2 + effective_potential(p, GridMode.FLAT, r)
+        diag = 2.0 / h**2 + coefficients(p, GridMode.FLAT, r)[3]
         lowest = eigh_tridiagonal(
             diag, np.full(n - 1, -1.0 / h**2), eigvals_only=True, select="i", select_range=(0, 0)
         )
@@ -204,6 +230,36 @@ class TestEigenvalues:
         with pytest.raises(InvalidParameterError, match="r_max"):
             GridSpec(mode=GridMode.FLAT, r_min=2.0, r_max=1.0)
 
+    def test_outer_grid_named_by_value_must_clear_the_dislocation_radius(self):
+        grid = GridSpec(mode="outer", r_min=0.1, r_max=10, n_points=2000)
+        assert grid.mode is GridMode.OUTER
+        with pytest.raises(InvalidParameterError, match="outer"):
+            oracle_eigenvalues(P_OSC, grid)
+
+    def test_flat_grid_named_by_value_solves_as_the_flat_grid(self):
+        named = GridSpec(mode="flat", r_min=0.0, r_max=10.0, n_points=2000)
+        grid = GridSpec(mode=GridMode.FLAT, r_min=0.0, r_max=10.0, n_points=2000)
+        got = oracle_eigenvalues(P_OSC, named, residual_tol=None)
+        assert got.mode is GridMode.FLAT
+        assert got.eigenvalues.tobytes() == oracle_eigenvalues(
+            P_OSC, grid, residual_tol=None
+        ).eigenvalues.tobytes()
+
+    def test_unknown_grid_mode_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="bogus"):
+            GridSpec(mode="bogus", r_min=0.0, r_max=10.0)
+        with pytest.raises(InvalidParameterError, match="bogus"):
+            GridSpec.default("bogus", P_OSC)
+
+    @pytest.mark.parametrize("n_points", [4000.0, True, np.float64(4000.0), "4000"])
+    def test_point_count_must_be_an_integer(self, n_points):
+        with pytest.raises(InvalidParameterError, match="n_points"):
+            GridSpec(mode=GridMode.FLAT, r_min=0.0, r_max=10.0, n_points=n_points)
+
+    def test_numpy_integer_point_count_is_accepted(self):
+        grid = GridSpec(mode=GridMode.FLAT, r_min=0.0, r_max=10.0, n_points=np.int64(4000))
+        assert type(grid.n_points) is int and grid.n_points == 4000
+
     @pytest.mark.parametrize("r_min, r_max", [(0.0, math.inf), (0.0, math.nan), (math.nan, 5.0)])
     def test_grid_ends_must_be_finite(self, r_min, r_max):
         with pytest.raises(InvalidParameterError, match="finite"):
@@ -253,6 +309,8 @@ class TestEigenvalues:
         assert (g.r_min, g.r_max) == (0.0, pytest.approx(P_OSC.beta - 1e-6))
         g = GridSpec.default(GridMode.FLAT, P_INV)
         assert (g.r_min, g.r_max) == (0.0, 40.0)
+        for mode in GridMode:
+            assert GridSpec.default(mode.value, P_OSC) == GridSpec.default(mode, P_OSC)
 
 
 EPS = np.finfo(float).eps
@@ -303,7 +361,7 @@ def seeded_solves():
     """
     solves = []
     for p, grid in seeded_grids():
-        r, h, diag = oracle_mod._assemble(p, grid)
+        h, diag, gate = oracle_mod._assemble(p, grid)
         off = np.full(grid.n_points - 1, -1.0 / h**2)
         finest = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, 4), tol=1e-300, eigvals_only=True
@@ -319,7 +377,7 @@ def seeded_solves():
                 bisection=np.max(np.abs(values - finest)) / unit,
                 gate=bool(np.any(result.residual_norms > oracle_mod.DEFAULT_RESIDUAL_TOL)),
                 bisection_gate=bool(
-                    np.any(oracle_mod._residual_norms(p, grid, r, h, values, vectors)
+                    np.any(oracle_mod._residual_norms(h, gate, values, vectors)
                            > oracle_mod.DEFAULT_RESIDUAL_TOL)
                 ),
             )
@@ -388,7 +446,7 @@ class TestEigensolve:
         # well-separated levels whose bisection values land 2 tau off
         p = flat_critical()
         grid = GridSpec.default(GridMode.FLAT, p, n_points=500)
-        _, h, diag = oracle_mod._assemble(p, grid)
+        h, diag, _ = oracle_mod._assemble(p, grid)
         off = np.full(grid.n_points - 1, -1.0 / h**2)
         tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / grid.r_max**2
         tols = self.counted(monkeypatch, wrong_by=2.0 * tau)
