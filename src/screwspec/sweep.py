@@ -20,7 +20,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -60,8 +64,22 @@ class SweepSpec:
             raise InvalidParameterError(
                 f"cannot sweep {self.parameter!r}; choose one of {SWEEPABLE_PARAMETERS}"
             )
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise InvalidParameterError(f"steps must be an integer: got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))
         if self.steps < 2:
             raise InvalidParameterError(f"steps must be >= 2: got {self.steps}")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v)
+                   for v in (self.start, self.stop)):
+            raise InvalidParameterError(
+                f"sweep endpoints must be finite numbers: got start={self.start!r}, "
+                f"stop={self.stop!r}"
+            )
+        if not math.isfinite(self.stop - self.start):
+            raise InvalidParameterError(
+                f"the sweep span stop - start overflows: got start={self.start!r}, "
+                f"stop={self.stop!r}"
+            )
         if self.method not in ("closed-form", "truncation"):
             raise InvalidParameterError(
                 f"method must be 'closed-form' or 'truncation': got {self.method!r}"
@@ -72,7 +90,7 @@ class SweepSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One (parameter value, branch) cell of a sweep.
 
@@ -81,7 +99,8 @@ class SweepRow:
     rows included, so each gap is attributable: the closed-form
     discriminant, or that of the quadratic c_2 whose roots the truncation
     method takes.  A truncation double root is one level, reported on the
-    ``minus`` row.
+    ``minus`` row.  Rows have slots and no ``__dict__``, so ``vars(row)``
+    fails; read them with ``getattr`` or ``dataclasses.astuple``.
     """
 
     param_value: float
@@ -150,45 +169,61 @@ def sweep_rows(p: PhysicalParams, spec: SweepSpec) -> list[SweepRow]:
             f"the n = 1 kernel stopped at {spec.parameter} = {values[end]!r}, "
             "where the one-point route succeeds"
         )
-    disc = levels.discriminant.tolist()
-    columns = [(0, "minus"), (1, "plus")]
-    if spec.branch != "all":
-        columns = [columns[spec.branch == "plus"]]
-    cells = [
-        (
-            branch,
-            levels.present[:, col].tolist(),
-            levels.energy[:, col].tolist(),
-            levels.spectral[:, col].tolist(),
-            levels.termination_defect[:, col].tolist(),
-        )
-        for col, branch in columns
-    ]
-    rows = []
-    for i, value in enumerate(values):
-        for branch, present, energy, spectral, defect in cells:
-            if present[i]:
-                rows.append(
-                    SweepRow(value, ells[i], branch, energy[i], spectral[i], disc[i], defect[i])
-                )
-            else:
-                rows.append(SweepRow(value, ells[i], branch, None, None, disc[i], None))
+    columns = [0, 1] if spec.branch == "all" else [int(spec.branch == "plus")]
+    width = len(columns)
+
+    def interleaved(per_value: list) -> list:
+        # the same object on each of a value's branch rows, for rows_to_csv to format once
+        out = [None] * (width * len(per_value))
+        for j in range(width):
+            out[j::width] = per_value
+        return out
+
+    present = levels.present[:, columns]
+    cells = {
+        "param_value": interleaved(values),
+        "ell": interleaved(ells),
+        "branch": [("minus", "plus")[col] for col in columns] * len(values),
+        "discriminant": interleaved(levels.discriminant.tolist()),
+    }
+    for name in ("energy", "spectral", "termination_defect"):
+        cells[name] = np.where(present, getattr(levels, name)[:, columns], None).ravel().tolist()
+    # Fill each column of rows through its slot, bypassing the frozen
+    # __init__'s seven object.__setattr__ calls per row.
+    rows = list(map(object.__new__, repeat(SweepRow, present.size)))
+    for name in _ROW_FIELDS:
+        deque(map(getattr(SweepRow, name).__set__, rows, cells[name]), maxlen=0)
     return rows
 
 
 def _cell(v: float | None) -> str:
-    return "" if v is None else f"{v:.17g}"
+    return "" if v is None else "%.17g" % v
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    """Byte-stable CSV with 17 significant digits and empty missing cells."""
+    """Byte-stable CSV with 17 significant digits and empty missing cells.
+
+    A swept value and its discriminant are formatted once for all their
+    branch rows.  Text is reused only for the very same object (``is``,
+    never ``==``), so ``-0.0`` after an equal ``0.0`` gets its own text.
+    """
     lines = [",".join(_ROW_FIELDS)]
+    value = disc = object()  # is no row's cell
     for row in rows:
-        lines.append(
-            f"{row.param_value:.17g},{row.ell},{row.branch},"
-            f"{_cell(row.energy)},{_cell(row.spectral)},"
-            f"{_cell(row.discriminant)},{_cell(row.termination_defect)}"
-        )
+        if row.param_value is not value:
+            value = row.param_value
+            value_text = "%.17g" % value
+        if row.discriminant is not disc:
+            disc = row.discriminant
+            disc_text = _cell(disc)
+        energy, spectral, defect = row.energy, row.spectral, row.termination_defect
+        if energy is None or spectral is None or defect is None:
+            lines.append("%s,%s,%s,%s,%s,%s,%s" % (
+                value_text, row.ell, row.branch, _cell(energy), _cell(spectral), disc_text,
+                _cell(defect)))
+        else:
+            lines.append("%s,%s,%s,%.17g,%.17g,%s,%.17g" % (
+                value_text, row.ell, row.branch, energy, spectral, disc_text, defect))
     return "\n".join(lines) + "\n"
 
 

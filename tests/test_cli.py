@@ -406,6 +406,26 @@ class TestSweep:
         assert not data.exists() and not script.exists()
 
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            # these ended in "flux must be finite: got nan" and "Omega must be
+            # finite: got nan", from 0 * inf and from an overflowing span
+            (["--param", "flux", "--from", "0", "--to", "inf"],
+             "sweep endpoints must be finite numbers: got start=0.0, stop=inf"),
+            (["--param", "Omega", "--from=-1e308", "--to", "1e308"],
+             "the sweep span stop - start overflows: got start=-1e+308, stop=1e+308"),
+        ],
+    )
+    def test_unusable_range_is_exit_1_naming_it(self, capsys, bounds, message):
+        code, out, err = run(["sweep", *OSC_ARGS, *bounds, "--steps", "3"], capsys)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "invalid-input"
+        assert payload["message"] == message
+
+
 class TestOracle:
     def test_flat_mode_csv(self, capsys):
         code, out, err = run(["oracle", "--mode", "flat", "--ell", "0"], capsys)

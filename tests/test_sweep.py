@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -14,6 +16,7 @@ from screwspec import (
     Model,
     NegativeFluxWarning,
     PhysicalParams,
+    SweepRow,
     SweepSpec,
     ground_state_closed_form,
     lambda_polynomials,
@@ -23,7 +26,8 @@ from screwspec import (
     sweep_values,
     truncation_solve,
 )
-from screwspec.spectrum import TruncationError
+from screwspec import sweep as sweep_module
+from screwspec.spectrum import TruncationError, n1_levels
 
 GOLDEN_CASES = golden_cases()
 
@@ -56,6 +60,45 @@ class TestSpec:
             SweepSpec(parameter="flux", start=0, stop=1, steps=2, method="magic")
         with pytest.raises(InvalidParameterError, match="branch"):
             SweepSpec(parameter="flux", start=0, stop=1, steps=2, branch="middle")
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, True, "3", None])
+    def test_steps_must_be_an_integer(self, steps):
+        with pytest.raises(InvalidParameterError) as exc:
+            SweepSpec("flux", 0.0, 1.0, steps)
+        assert str(exc.value) == f"steps must be an integer: got {steps!r}"
+
+    def test_numpy_integer_steps_are_stored_as_int(self):
+        spec = SweepSpec("flux", 0.0, 1.0, np.int64(3))
+        assert type(spec.steps) is int and spec.steps == 3
+        assert len(sweep_rows(BASE, spec)) == 6
+
+    # the first two cases ran into the kernel as "flux must be finite: got
+    # nan" and "Omega must be finite: got nan", a nan the user never gave
+    @pytest.mark.parametrize(
+        "parameter, start, stop",
+        [
+            ("flux", 0.0, math.inf),
+            ("Omega", 0.0, math.nan),
+            ("flux", -math.inf, 1.0),
+            ("beta", math.nan, 0.5),
+            ("gamma", "0", 1.0),
+        ],
+    )
+    def test_non_finite_endpoint_is_refused(self, parameter, start, stop):
+        with pytest.raises(InvalidParameterError) as exc:
+            SweepSpec(parameter, start, stop, 3)
+        assert str(exc.value) == (
+            f"sweep endpoints must be finite numbers: got start={start!r}, stop={stop!r}"
+        )
+
+    def test_overflowing_span_is_refused(self):
+        # both endpoints are finite; stop - start is not
+        with pytest.raises(InvalidParameterError) as exc:
+            SweepSpec("Omega", -1e308, 1e308, 3)
+        assert str(exc.value) == (
+            "the sweep span stop - start overflows: got start=-1e+308, stop=1e+308"
+        )
+        assert sweep_values(SweepSpec("Omega", -8e307, 8e307, 3)) == [-8e307, 0.0, 8e307]
 
     def test_values_inclusive(self):
         spec = SweepSpec(parameter="beta", start=0.3, stop=0.7, steps=5)
@@ -238,8 +281,6 @@ class TestValidationParity:
             (GOLDEN_INV, "beta", 0.9, 1.1, 3,
              "beta must lie in the open interval (0, 1): got 1.0"),
             (BASE, "k", 1.0, -1.0, 5, "k must be positive: got 0.0"),
-            (BASE, "flux", 0.0, math.inf, 3, "flux must be finite: got nan"),
-            (BASE, "Omega", 0.0, math.nan, 3, "Omega must be finite: got nan"),
         ],
     )
     def test_first_invalid_value_raises(self, base, parameter, start, stop, steps, message,
@@ -285,3 +326,144 @@ class TestValidationParity:
         spec = SweepSpec(parameter="Omega", start=0.0, stop=1.0, steps=3)
         with pytest.warns(NegativeFluxWarning, match="flux = -0.25 is negative"):
             sweep_rows(p, spec)
+
+
+def reference_rows_to_csv(rows):
+    """The f-string writer ``rows_to_csv`` replaced, one format per cell."""
+
+    def cell(v):
+        return "" if v is None else f"{v:.17g}"
+
+    lines = [",".join(f.name for f in dataclasses.fields(SweepRow))]
+    for row in rows:
+        lines.append(
+            f"{row.param_value:.17g},{row.ell},{row.branch},"
+            f"{cell(row.energy)},{cell(row.spectral)},"
+            f"{cell(row.discriminant)},{cell(row.termination_defect)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def typed_cells(row):
+    """Each field's type and repr, so -0.0, NaN and int-for-float all show."""
+    return tuple((type(v), repr(v)) for v in dataclasses.astuple(row))
+
+
+class TestCsvWriter:
+    """``rows_to_csv`` against the reference writer, byte for byte."""
+
+    def test_hand_built_rows(self):
+        one_a, one_b = float("1.5"), float("1.5")
+        zero, neg_zero = 0.0, -0.0
+        assert one_a is not one_b and one_a == one_b and zero == neg_zero
+        specials = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308]
+        rows = [
+            # a cell missing on its own
+            SweepRow(0.5, 2, "minus", None, 1.25, -3.0, None),
+            SweepRow(0.5, 2, "plus", 2.5, None, -3.0, 0.0),
+            SweepRow(0.5, 2, "plus", 2.5, 1.25, None, 0.0),
+            # equal values in distinct objects, as swept value and discriminant
+            SweepRow(zero, 1, "minus", 1.0, 2.0, zero, 3.0),
+            SweepRow(neg_zero, 1, "plus", 1.0, 2.0, neg_zero, 3.0),
+            SweepRow(one_a, 1, "minus", None, None, one_a, None),
+            SweepRow(one_b, 1, "plus", None, None, one_b, None),
+            SweepRow(neg_zero, 1, "plus", 1.0, 2.0, zero, 3.0),
+            SweepRow(zero, 1, "plus", 1.0, 2.0, neg_zero, 3.0),
+        ]
+        for v in specials:
+            rows.append(SweepRow(v, -3, "minus", v, v, v, v))
+            rows.append(SweepRow(v, -3, "plus", None, v, v, None))
+            rows.append(SweepRow(1.0, 0, "plus", v, 1.0, math.nan, v))
+        assert rows_to_csv(rows) == reference_rows_to_csv(rows)
+        assert rows_to_csv([]) == reference_rows_to_csv([])
+
+    def test_swept_rows(self):
+        sweeps = [
+            (BASE, SweepSpec("flux", 0.0, 2.0, 9, branch="plus")),
+            (BASE, SweepSpec("beta", 0.3, 0.7, 7, branch="minus")),
+            (BASE, SweepSpec("ell", -2, 4, 7)),
+            (WEAK, SweepSpec("flux", 0.0, 2.0, 17)),
+            (GOLDEN_INV, SweepSpec("flux", 1.0, 4.0, 31, method="truncation")),
+            (BASE, SweepSpec("Omega", -1.0, 1.0, 5, method="truncation", branch="plus")),
+        ]
+        row_lists = [sweep_rows(base, spec) for base, spec in sweeps]
+        for rows in row_lists:
+            assert rows_to_csv(rows) == reference_rows_to_csv(rows)
+        # two sweeps end to end: the second starts where the first ends
+        joined = row_lists[0] + sweep_rows(BASE, SweepSpec("flux", 2.0, 3.0, 3, branch="plus"))
+        assert rows_to_csv(joined) == reference_rows_to_csv(joined)
+        everything = [row for rows in row_lists for row in rows]
+        assert rows_to_csv(everything) == reference_rows_to_csv(everything)
+
+
+class TestRowSemantics:
+    """Rows filled through their slots behave as rows built by ``SweepRow(...)``."""
+
+    SWEEPS = [
+        (BASE, SweepSpec("flux", 0.0, 2.0, 9)),
+        (BASE, SweepSpec("Omega", -1.0, 1.0, 5, method="truncation")),
+        (WEAK, SweepSpec("flux", 0.0, 2.0, 9)),
+        (GOLDEN_INV, SweepSpec("flux", 1.0, 4.0, 31, method="truncation")),
+        (BASE, SweepSpec("beta", 0.3, 0.7, 5, branch="plus")),
+        (BASE, SweepSpec("ell", -1, 3, 5, method="truncation", branch="minus")),
+    ]
+
+    @staticmethod
+    def built(base, spec):
+        values = sweep_values(spec)
+        ells = [int(v) for v in values] if spec.parameter == "ell" else [base.ell] * len(values)
+        axis = np.array(ells if spec.parameter == "ell" else values, dtype=float)
+        levels = n1_levels(base, spec.method, spec.parameter, axis)
+        columns = [(0, "minus"), (1, "plus")]
+        if spec.branch != "all":
+            columns = [columns[spec.branch == "plus"]]
+        rows = []
+        for i, value in enumerate(values):
+            disc = float(levels.discriminant[i])
+            for col, branch in columns:
+                if levels.present[i, col]:
+                    cells = (float(levels.energy[i, col]), float(levels.spectral[i, col]),
+                             float(levels.termination_defect[i, col]))
+                else:
+                    cells = (None, None, None)
+                energy, spectral, defect = cells
+                rows.append(SweepRow(value, ells[i], branch, energy, spectral, disc, defect))
+        return rows
+
+    @pytest.mark.parametrize("case", range(len(SWEEPS)))
+    def test_rows_equal_constructed_rows(self, case):
+        base, spec = self.SWEEPS[case]
+        rows = sweep_rows(base, spec)
+        want = self.built(base, spec)
+        assert rows == want
+        assert [typed_cells(r) for r in rows] == [typed_cells(r) for r in want]
+        assert any(r.energy is None for r in rows) == (case in (2, 3))
+
+    def test_fill_takes_its_fields_from_row_fields(self, monkeypatch):
+        # a field added to SweepRow without a column to fill it from fails the sweep
+        monkeypatch.setattr(sweep_module, "_ROW_FIELDS", (*sweep_module._ROW_FIELDS, "extra"))
+        with pytest.raises((KeyError, AttributeError), match="extra"):
+            sweep_rows(BASE, SweepSpec("flux", 0.0, 1.0, 3))
+
+    def test_rows_are_frozen_slotted_values(self):
+        rows = sweep_rows(WEAK, SweepSpec("flux", 0.0, 2.0, 9))
+        row = rows[0]
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(TypeError):
+            vars(row)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.energy = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del row.spectral
+        assert len(set(rows)) == len(rows)
+        assert hash(row) == hash(SweepRow(*dataclasses.astuple(row)))
+
+    def test_rows_survive_replace_deepcopy_and_pickle(self):
+        rows = sweep_rows(WEAK, SweepSpec("flux", 0.0, 2.0, 9, method="truncation"))
+        for row in rows:
+            moved = dataclasses.replace(row, energy=1.0)
+            assert moved.energy == 1.0 and type(moved) is SweepRow
+            assert typed_cells(moved)[:3] == typed_cells(row)[:3]
+            assert typed_cells(moved)[4:] == typed_cells(row)[4:]
+            for twin in (copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
+                assert twin == row and typed_cells(twin) == typed_cells(row)
