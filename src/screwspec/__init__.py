@@ -23,7 +23,6 @@ from .params import (
     NegativeFluxWarning,
     PhysicalParams,
     derive_params,
-    energy_to_spectral,
     spectral_to_energy,
 )
 from .series import (
@@ -61,7 +60,6 @@ __all__ = [
     "NegativeFluxWarning",
     "derive_params",
     "spectral_to_energy",
-    "energy_to_spectral",
     "Probe",
     "gaussian_probe",
     "radial_lhs",

@@ -37,6 +37,7 @@ import errno
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -72,7 +73,15 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose errors :func:`main` reports as ``invalid-input``."""
+    """argparse whose errors :func:`main` reports as ``invalid-input``.
+
+    A negative value in exponent notation, such as ``--Omega -1e-3``, reads
+    as a number: argparse's own pattern for negative numbers has no exponent.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise InvalidParameterError(message)

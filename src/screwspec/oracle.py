@@ -183,7 +183,7 @@ def _coefficients(
     formulas at b = beta; the flat grid is the same problem at b = 0.
     """
     b = 0.0 if mode is GridMode.FLAT else p.beta
-    iota = p.ell - p.flux - b * p.k  # derive_params' iota at beta = b
+    iota = p.ell - p.flux - b * p.k  # its own copy: the oracle is a check's independent side
     g = r**2 - b**2
     pot = (p.mass * p.omega0 * r) ** 2 + 2.0 * p.mass * p.gamma / r**2 + iota**2 / g
     normal = pot - (r**2 + 2.0 * b**2) / (4.0 * g**2)
@@ -305,7 +305,8 @@ def oracle_eigenvalues(
     Raises :class:`OracleAccuracyError` when any back-substitution
     residual exceeds ``residual_tol`` (pass None to skip the gate, e.g.
     for deliberate coarse-grid convergence studies).  A tolerance that is
-    NaN, zero or negative is rejected with :class:`InvalidParameterError`.
+    NaN, zero or negative is rejected with :class:`InvalidParameterError`,
+    and so is a grid on which the potential overflows.
     """
     if residual_tol is not None and not residual_tol > 0.0:
         raise InvalidParameterError(f"residual_tol must be positive: got {residual_tol}")
@@ -323,7 +324,12 @@ def oracle_eigenvalues(
         raise InvalidParameterError(
             f"a core grid must end at or below beta = {p.beta}: got r_max = {grid.r_max}"
         )
-    h, diag, gate = _assemble(p, grid)
+    with np.errstate(all="ignore"):
+        h, diag, gate = _assemble(p, grid)
+    if not np.isfinite(diag).all():
+        raise InvalidParameterError(
+            f"the potential on the {grid.mode.value} grid overflows at these parameters"
+        )
     off = np.full(grid.n_points - 1, -1.0 / h**2)
     gap = 3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2
     eigenvalues, vectors = _lowest_eigenpairs(diag, off, n_eigs, BISECTION_GAP_FRACTION * gap)

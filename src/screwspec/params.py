@@ -31,6 +31,11 @@ in terms of which the radial equation reads
 
 For the inverse-square model ``omega0 = 0`` and ``delta = 0``, so
 ``omega = 0`` and the same formulas apply with the trap terms absent.
+
+This module is the one home of iota, omega, j and the energy map, each
+one elementwise expression for floats at one point and for the arrays of
+the n = 1 kernel in :mod:`screwspec.spectrum`.  Callers pass in squares,
+taken through libm ``pow`` (Python's float ``**``, or ``np.float_power``).
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ __all__ = [
     "admissible",
     "derive_params",
     "spectral_to_energy",
-    "energy_to_spectral",
 ]
 
 
@@ -184,12 +188,23 @@ class DerivedParams:
     j: float
 
 
+def _derived(f, beta2) -> tuple:
+    """(iota, omega, j), elementwise, from the fields ``f`` by name; ``beta2`` is beta**2."""
+    iota = f["ell"] - f["flux"] - f["beta"] * f["k"]
+    omega = f["mass"] * f["omega0"] * beta2
+    j = np.sqrt(2.0 * f["mass"] * f["gamma"] + 0.25)
+    return iota, omega, j
+
+
+def _energy(f, k2, spectral, iota):
+    """The energy at ``spectral`` from the fields ``f``, elementwise; ``k2`` is ``k**2``."""
+    return (k2 + spectral) / (2.0 * f["mass"]) + f["delta"] - f["Omega"] * iota
+
+
 def derive_params(p: PhysicalParams) -> DerivedParams:
     """Compute (iota, omega, j) from validated physical parameters."""
-    iota = p.ell - p.flux - p.beta * p.k
-    omega = p.mass * p.omega0 * p.beta**2
-    j = math.sqrt(2.0 * p.mass * p.gamma + 0.25)
-    return DerivedParams(iota=iota, omega=omega, j=j)
+    iota, omega, j = _derived(vars(p), p.beta**2)
+    return DerivedParams(iota=iota, omega=omega, j=float(j))
 
 
 def spectral_to_energy(p: PhysicalParams, spectral: float) -> float:
@@ -200,14 +215,7 @@ def spectral_to_energy(p: PhysicalParams, spectral: float) -> float:
     non-finite energy.
     """
     value = float(spectral)
-    d = derive_params(p)
-    energy = (p.k**2 + value) / (2.0 * p.mass) + p.delta - p.Omega * d.iota
+    energy = _energy(vars(p), p.k**2, value, derive_params(p).iota)
     if math.isfinite(value) and not math.isfinite(energy):
         raise OverflowError(f"the energy at spectral value {value!r} leaves the float range")
     return energy
-
-
-def energy_to_spectral(p: PhysicalParams, energy: float) -> float:
-    """Inverse of :func:`spectral_to_energy`, as a float (round-trips to ~1e-16)."""
-    d = derive_params(p)
-    return 2.0 * p.mass * (energy - p.delta + p.Omega * d.iota) - p.k**2

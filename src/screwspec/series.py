@@ -109,8 +109,9 @@ def _triple(
     return d1, d2, d3
 
 
-def _seed(iota: float, j: float, omega: float, scaled: float) -> float:
-    return (2.0 * omega * (1.0 + j) - iota**2 - scaled + 0.5 + j) / (4.0 * (1.0 + j))
+def _seed(iota2: float, j: float, omega: float, scaled: float) -> float:
+    """The seed c_1 on bare numbers or numpy arrays, elementwise; ``iota2`` is iota^2."""
+    return (2.0 * omega * (1.0 + j) - iota2 - scaled + 0.5 + j) / (4.0 * (1.0 + j))
 
 
 def series_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> SeriesSolution:
@@ -122,13 +123,13 @@ def series_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> Ser
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1: got {n_terms}")
     d = derive_params(p)
-    scaled = spectral * p.beta**2
+    iota2, scaled = d.iota**2, spectral * p.beta**2
     c = np.empty(n_terms + 1)
     c[0] = 1.0
-    c[1] = _seed(d.iota, d.j, d.omega, scaled)
+    c[1] = _seed(iota2, d.j, d.omega, scaled)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_terms - 1):
-            d1, d2, d3 = _triple(i, d.iota**2, d.j, d.omega, scaled)
+            d1, d2, d3 = _triple(i, iota2, d.j, d.omega, scaled)
             nxt = (d1 * c[i + 1] + d2 * c[i]) / d3
             if not math.isfinite(nxt) or abs(nxt) > OVERFLOW_LIMIT:
                 raise SeriesOverflowError(i + 2)

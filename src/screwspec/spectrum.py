@@ -48,13 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import (
-    Model,
-    PhysicalParams,
-    derive_params,
-    spectral_to_energy,
-)
-from .series import SeriesSolution, _triple
+from .params import Model, PhysicalParams, _derived, _energy, derive_params, spectral_to_energy
+from .series import SeriesSolution, _seed, _triple
 
 __all__ = [
     "Branch",
@@ -182,10 +177,8 @@ def _table(iota2, j, omega, b2, n_max: int) -> tuple[list[list], bool | np.ndarr
     keeps once it trims the trailing zeros; along an axis the second
     return value marks the points where it happens.
     """
-    one_j = 1.0 + j
     slope = b2 / 4.0
-    c1 = [(2.0 * omega * one_j - iota2 + 0.5 + j) / (4.0 * one_j), -b2 / (4.0 * one_j)]
-    table = [[1.0], c1]
+    table = [[1.0], [_seed(iota2, j, omega, 0.0), -b2 / (4.0 * (1.0 + j))]]
     lost = False
     for i in range(n_max - 1):
         d1, d2, d3 = _triple(i, iota2, j, omega, 0.0)
@@ -331,19 +324,18 @@ def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
     return levels
 
 
-def _closed_form_rate(p: PhysicalParams) -> float:
-    """Gaussian rate used by the analytic route: M * omega0 * beta.
+def _closed_form_rate(f):
+    """Gaussian rate used by the analytic route: M * omega0 * beta, elementwise.
 
     This is deliberately not the M * omega0 * beta**2 rate the recurrence
     machinery runs on (the x = r**2 / beta**2 substitution forces that one;
     the change-of-variable check pins it).  The analytic pair is evaluated
     with the linear-in-beta rate it is stated with, and the gap between the
     two routes is measured by the ``closed-form-audit`` check of
-    :mod:`screwspec.verify` rather than reconciled.
+    :mod:`screwspec.verify` rather than reconciled.  ``f`` maps field names
+    to floats or arrays.
     """
-    if p.model is Model.OSCILLATOR:
-        return p.mass * p.omega0 * p.beta
-    return 0.0
+    return f["mass"] * f["omega0"] * f["beta"]
 
 
 _AXIS_FIELDS = ("mass", "beta", "k", "ell", "omega0", "gamma", "delta", "Omega", "flux")
@@ -418,12 +410,6 @@ def _polished_roots(
     return roots, count, failed.any(axis=1) | skip
 
 
-def _n1_derived(f: dict) -> tuple:
-    """iota, iota**2, beta**2 and j of :func:`derive_params`, elementwise."""
-    iota = f["ell"] - f["flux"] - f["beta"] * f["k"]
-    return iota, _square(iota), _square(f["beta"]), np.sqrt(2.0 * f["mass"] * f["gamma"] + 0.25)
-
-
 def _closed_form_quadratic(model: Model, f: dict, iota2, j) -> tuple:
     """(discriminant, centre, overflow) of the analytic n = 1 pair, elementwise.
 
@@ -432,7 +418,7 @@ def _closed_form_quadratic(model: Model, f: dict, iota2, j) -> tuple:
     square of the rate overflows.
     """
     if model is Model.OSCILLATOR:
-        w = f["mass"] * f["omega0"] * f["beta"]  # the rate of _closed_form_rate
+        w = _closed_form_rate(f)
         w2 = _square(w)
         disc = (
             16.0 * iota2 * (1.0 + j)
@@ -455,10 +441,9 @@ def closed_form_discriminant(p: PhysicalParams) -> float:
     :func:`ground_state_closed_form` reports (or raises
     :class:`NegativeDiscriminantError` with), without the levels.
     """
-    f = {name: getattr(p, name) for name in _AXIS_FIELDS}
+    d = derive_params(p)
     with np.errstate(all="ignore"):
-        _, iota2, _, j = _n1_derived(f)
-        return float(_closed_form_quadratic(p.model, f, iota2, j)[0])
+        return float(_closed_form_quadratic(p.model, vars(p), _square(d.iota), d.j)[0])
 
 
 def n1_levels(
@@ -480,10 +465,11 @@ def n1_levels(
     f = {name: np.full(size, getattr(p, name), dtype=float) for name in _AXIS_FIELDS}
     if parameter is not None:
         f[parameter] = np.asarray(values, dtype=float)
-    mass, k = f["mass"], f["k"]
     with np.errstate(all="ignore"):
-        iota, iota2, b2, j = _n1_derived(f)
-        table, lost = _table(iota2, j, mass * f["omega0"] * b2, b2, 3)
+        b2, k2 = _square(f["beta"]), _square(f["k"])
+        iota, omega, j = _derived(f, b2)
+        iota2 = _square(iota)
+        table, lost = _table(iota2, j, omega, b2, 3)
         fault = np.isinf(iota2) & np.isfinite(iota)
         if method == "closed-form":
             disc, center, overflow = _closed_form_quadratic(p.model, f, iota2, j)
@@ -497,13 +483,12 @@ def n1_levels(
             pairs, count, failed = _polished_roots(table[2], lost | fault)
             roots = pairs.T
             fault |= failed
-        k2 = _square(k)
-        fault |= (count > 0) & np.isinf(k2) & np.isfinite(k)
+        fault |= (count > 0) & np.isinf(k2) & np.isfinite(f["k"])
         # shape (2, N) until the transposes below: row 0 minus, row 1 plus
         present = np.arange(2)[:, None] < np.where(fault, 0, count)
         spectral = np.where(present, roots, np.nan)
         defect, c1_over_c0 = _diagnostics(table, 1, spectral)
-        energy = (k2 + spectral) / (2.0 * mass) + f["delta"] - f["Omega"] * iota
+        energy = _energy(f, k2, spectral, iota)
         fault |= (present & np.isfinite(spectral) & ~np.isfinite(energy)).any(axis=0)
     return N1Levels(
         discriminant=disc,
@@ -531,7 +516,7 @@ def ground_state_closed_form(p: PhysicalParams) -> list[EnergyLevel]:
         # ** on the closed form's squares, the polynomial table, k**2, then
         # each level's energy
         derive_params(p).iota ** 2
-        _closed_form_rate(p) ** 2
+        _closed_form_rate(vars(p)) ** 2
         lambda_polynomials(p, 3)
         p.k ** 2
         for spectral in pair.spectral[0, pair.present[0]].tolist():
@@ -573,7 +558,7 @@ def ground_state_wavefunction(p: PhysicalParams, branch: Branch) -> SeriesSoluti
     level = levels[0] if branch is Branch.MINUS else levels[1]
     d = derive_params(p)
     iota, j = d.iota, d.j
-    w = _closed_form_rate(p)
+    w = _closed_form_rate(vars(p))
     sq = math.sqrt(level.discriminant)
     sign = 1.0 if branch is Branch.MINUS else -1.0
     if p.model is Model.OSCILLATOR:

@@ -31,7 +31,9 @@ modules they audit: the alternate recurrence denominator, the closed-form
 and flux-periodicity comparisons, and the two operator identities,
 :func:`changeofvar_consistency` (radial operator against its x-space
 form) and :func:`separation_residual` (full 3-d equation against the
-radial one).
+radial one).  ``separation-identity`` draws spectral values and maps them
+forward with :func:`params.spectral_to_energy`, so it checks the energy
+map every route reports through.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from .operators import Probe, gaussian_probe, radial_lhs, transformed_lhs
 from .oracle import GridMode, GridSpec, flat_exact_spectrum, oracle_eigenvalues
-from .params import Model, PhysicalParams, derive_params, energy_to_spectral
+from .params import Model, PhysicalParams, derive_params, spectral_to_energy
 from .series import (
     OVERFLOW_LIMIT,
     SeriesOverflowError,
@@ -229,13 +231,13 @@ def check_series_residual(rng: np.random.Generator, fast: bool, tol: float) -> O
 def _alternate_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> SeriesSolution:
     """:func:`series_coefficients` with the denominator (i + 3/2 + j)(i + 2)."""
     d = derive_params(p)
-    scaled = spectral * p.beta**2
+    iota2, scaled = d.iota**2, spectral * p.beta**2
     c = np.empty(n_terms + 1)
     c[0] = 1.0
-    c[1] = _seed(d.iota, d.j, d.omega, scaled)
+    c[1] = _seed(iota2, d.j, d.omega, scaled)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_terms - 1):
-            d1, d2, _ = _triple(i, d.iota**2, d.j, d.omega, scaled)
+            d1, d2, _ = _triple(i, iota2, d.j, d.omega, scaled)
             nxt = (d1 * c[i + 1] + d2 * c[i]) / ((i + 1.5 + d.j) * (i + 2.0))
             if not math.isfinite(nxt) or abs(nxt) > OVERFLOW_LIMIT:
                 raise SeriesOverflowError(i + 2)
@@ -322,7 +324,7 @@ def check_changeofvar(rng: np.random.Generator, fast: bool, tol: float) -> Outco
 
 def separation_residual(
     p: PhysicalParams,
-    energy: float,
+    spectral: float,
     probe: Probe,
     r: float,
     angle: float = 0.7,
@@ -336,10 +338,12 @@ def separation_residual(
     in the radial first-derivative term), with the phases acting
     analytically (d_phi -> i(ell - flux) after minimal coupling,
     d_z -> i k) and the rotation operator i Omega (D_phi - beta d_z).
-    The radial side is :func:`operators.radial_lhs` at the spectral value
-    2 M (E - delta + Omega iota) - k^2 times the same phase.  The two
-    agree identically for every energy; the returned normalised modulus
-    is rounding noise unless the composition iota = ell - flux - beta*k
+    The radial side is :func:`operators.radial_lhs` at ``spectral`` times
+    the same phase, and the 3-d side takes the energy that
+    :func:`params.spectral_to_energy` maps it to, the map every route
+    reports its levels through.  The two agree identically for every
+    spectral value; the returned normalised modulus is rounding noise
+    unless the composition iota = ell - flux - beta*k or the energy map
     is broken somewhere.
     """
     if r <= 0:
@@ -347,7 +351,8 @@ def separation_residual(
     g = r * r - p.beta * p.beta
     if g == 0:
         raise ValueError(f"r must differ from beta = {p.beta}")
-    lm = p.ell - p.flux
+    energy = spectral_to_energy(p, spectral)
+    lm = p.ell - p.flux  # the 3-d side keeps its own algebra: it is what the check compares
     f, d1, d2 = probe.f(r), probe.df(r), probe.d2f(r)
     phase = cmath.exp(1j * (p.ell * angle + p.k * z))
     angular = -(lm * lm - 2.0 * p.beta * lm * p.k + p.k * p.k * r * r) / g
@@ -357,7 +362,7 @@ def separation_residual(
         0.5 * p.mass * p.omega0**2 * r**2 + p.gamma / r**2 + p.delta - energy
     ) * f
     lhs3d = (kinetic + rotation + potential) * phase
-    radial = radial_lhs(p, energy_to_spectral(p, energy), r, f, d1, d2)
+    radial = radial_lhs(p, spectral, r, f, d1, d2)
     target = -(phase * radial) / (2.0 * p.mass)
     scale = max(
         1.0,
@@ -382,12 +387,12 @@ def check_separation(rng: np.random.Generator, fast: bool, tol: float) -> Outcom
             r = float(rng.uniform(0.05, 3.0))
             if abs(r - p.beta) >= 0.02:
                 break
-        energy = float(rng.uniform(-2.0, 5.0))
+        spectral = float(rng.uniform(-10.0, 10.0))
         worst = max(
             worst,
             separation_residual(
                 p,
-                energy,
+                spectral,
                 probe,
                 r,
                 angle=float(rng.uniform(0.0, 2.0 * math.pi)),
@@ -395,7 +400,7 @@ def check_separation(rng: np.random.Generator, fast: bool, tol: float) -> Outcom
             ),
         )
     status = "PASS" if worst <= tol else "FAIL"
-    return status, worst, f"{draws} random (params, probe, r, E) draws"
+    return status, worst, f"{draws} random (params, probe, r, spectral) draws"
 
 
 @_check("truncation-self-consistency", 1e-10)

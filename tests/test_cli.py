@@ -167,6 +167,20 @@ class TestBadInput:
         assert code == 1
         assert "cannot sweep" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize(
+        "flag, spaced, joined",
+        [
+            ("--Omega", "-1e-3", "-0.001"),
+            ("--flux", "-2.5e-1", "-0.25"),
+            ("--Omega", "-1E+2", "-100"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::screwspec.NegativeFluxWarning")
+    def test_negative_exponent_value_is_a_number(self, capsys, flag, spaced, joined):
+        want = run(["energy", *OSC_ARGS, f"{flag}={joined}"], capsys)
+        assert want[0] == 0
+        assert run(["energy", *OSC_ARGS, flag, spaced], capsys) == want
+
 
 class TestOverflow:
     # squaring a flux of 1e160 leaves the float range, and so does an energy
@@ -183,12 +197,15 @@ class TestOverflow:
             ["sweep", *OSC_ARGS, "--delta", "1e308", "--param", "Omega", "--from=-1e308",
              "--to=-1.7e308", "--steps", "2", "--format", "json"],
             ["wavefunction", "--flux", "1e160"],
+            ["oracle", "--mode", "core", "--mass", "1e300", "--points", "100"],
         ],
         ids=[
             "energy", "sweep", "energy-sum", "energy-sum-truncation", "sweep-energy-sum",
-            "wavefunction",
+            "wavefunction", "oracle-potential",
         ],
     )
+    # a numpy warning would print lines of its own before the JSON error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_is_invalid_input(self, capsys, argv):
         code, out, err = run(argv, capsys)
         assert code == 1

@@ -69,7 +69,7 @@ class TestRecurrence:
             scaled = rng.uniform(-5, 5)
             d1, _, d3 = _triple(-1, iota**2, j, omega, scaled)
             assert d1 / d3 == pytest.approx(
-                _seed(iota, j, omega, scaled), rel=1e-13
+                _seed(iota**2, j, omega, scaled), rel=1e-13
             )
 
     def test_first_coefficient_rational_example(self):

@@ -232,7 +232,7 @@ class TestClosedForm:
         """The recurrence seed c_1 at a closed-form level, with the analytic rate."""
         d = derive_params(p)
         rate = p.mass * p.omega0 * p.beta
-        return _seed(d.iota, d.j, rate, level.spectral * p.beta**2)
+        return _seed(d.iota**2, d.j, rate, level.spectral * p.beta**2)
 
     def test_closed_form_values_seed_terminating_series(self):
         # At the closed-form spectral value the seed c_1 must equal the
@@ -378,7 +378,7 @@ class TestLevelSeries:
         # matches the raw seed at the root
         d = derive_params(P_INV)
         assert sol.coeffs[1] == pytest.approx(
-            _seed(d.iota, d.j, d.omega, lv.spectral * P_INV.beta**2), rel=1e-12
+            _seed(d.iota**2, d.j, d.omega, lv.spectral * P_INV.beta**2), rel=1e-12
         )
 
     def test_polynomial_evaluates_without_warning(self):

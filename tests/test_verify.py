@@ -80,11 +80,11 @@ class TestSeparation:
     )
     def test_identity_holds_for_any_energy(self, p):
         probe = gaussian_probe(width=0.8, center=0.9)
-        for energy in (-2.0, 0.0, 1.234):
+        for spectral in (-2.0, 0.0, 1.234):
             for r in (0.4, 1.1, 2.3):
                 if abs(r - p.beta) < 1e-3:
                     continue
-                assert separation_residual(p, energy, probe, r) <= 1e-12
+                assert separation_residual(p, spectral, probe, r) <= 1e-12
 
     def test_independent_of_the_sample_phase(self):
         probe = gaussian_probe(width=0.8, center=0.9)

@@ -10,7 +10,9 @@ recorded one.
 The file comes from commit 3038f8b, the last one before the checks
 became ``@_check`` functions and the series layer took spectral values
 as bare floats.  The measured value of ``flat-oracle-validation`` was
-re-recorded when the oracle's eigenvalues became Rayleigh quotients.
+re-recorded when the oracle's eigenvalues became Rayleigh quotients, and
+the measured value and detail of ``separation-identity`` when it began
+drawing spectral values and mapping them forward to energies.
 It can be rewritten from any checkout with::
 
     PYTHONPATH=<checkout>/src python tests/verify_golden.py
