@@ -20,7 +20,6 @@ from .params import (
     DerivedParams,
     InvalidParameterError,
     Model,
-    NegativeFluxWarning,
     PhysicalParams,
     derive_params,
     spectral_to_energy,
@@ -57,7 +56,6 @@ __all__ = [
     "PhysicalParams",
     "DerivedParams",
     "InvalidParameterError",
-    "NegativeFluxWarning",
     "derive_params",
     "spectral_to_energy",
     "Probe",

@@ -12,7 +12,7 @@ standard error and an exit status, never a stack trace:
 =================  ====  ==================================================
 error              exit  when
 =================  ====  ==================================================
-invalid-input      1     a malformed flag, a flag the command does not read,
+invalid-input      1     a malformed flag, a flag the command does not offer,
                          an invalid parameter, a square or an energy that
                          overflows, an output path that cannot be written
                          (a directory, or one in no directory, is refused
@@ -174,6 +174,14 @@ def _params_from(args: argparse.Namespace) -> PhysicalParams:
     return PhysicalParams(model=model, omega0=omega0, **plain)
 
 
+def _spectral_params_from(args: argparse.Namespace) -> PhysicalParams:
+    """The flags' params with ``Omega`` and ``delta`` zero, for commands that print no energy.
+
+    Spectral values, psi and the oracle depend on neither; the flags are still validated.
+    """
+    return dataclasses.replace(_params_from(args), Omega=0.0, delta=0.0)
+
+
 def _levels(p: PhysicalParams, args: argparse.Namespace) -> list[EnergyLevel]:
     """The levels ``energy`` and ``wavefunction`` use: ``--method``, ``--n``, ``--branch``.
 
@@ -214,7 +222,6 @@ plot "{data}" using 1:4 with linespoints
 def _cmd_sweep(args: argparse.Namespace) -> None:
     if args.gnuplot and args.format == "json":
         raise InvalidParameterError("--gnuplot plots CSV columns; it cannot read --format json")
-    p = _params_from(args)
     spec = SweepSpec(
         parameter=args.param,
         start=args.start,
@@ -223,7 +230,11 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         method=args.method,
         branch=args.branch,
     )
-    rows = sweep_rows(p, spec)
+    # the axis replaces the swept field's flag, so the base takes its start; an --ell
+    # flag is always an integer, and an ell axis off the integers is sweep_values' error
+    if spec.parameter != "ell":
+        setattr(args, spec.parameter, spec.start)
+    rows = sweep_rows(_params_from(args), spec)
     if args.format == "json":
         _emit(rows_to_json(rows), args.out)
     else:
@@ -241,7 +252,7 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
             "--rmin does not apply to --mode all: the outer grid starts at beta, "
             "where the core grid ends"
         )
-    p = _params_from(args)
+    p = _spectral_params_from(args)
     modes = list(GridMode) if args.mode == "all" else [GridMode(args.mode)]
     results = []
     for mode in modes:
@@ -304,7 +315,7 @@ def _cmd_verify(args: argparse.Namespace) -> None:
 
 
 def _cmd_wavefunction(args: argparse.Namespace) -> None:
-    p = _params_from(args)
+    p = _spectral_params_from(args)
     if not 0.0 < args.xmax < math.inf:
         raise InvalidParameterError(f"xmax must be positive and finite: got {args.xmax}")
     if args.samples < 1:
@@ -314,8 +325,6 @@ def _cmd_wavefunction(args: argparse.Namespace) -> None:
         sol = ground_state_wavefunction(p, level.branch)
     else:
         sol = level_series(p, level)
-    if args.xmax >= 1.0 and sol.polynomial_degree is None:
-        raise InvalidParameterError("xmax must stay below 1 for a non-terminating series")
     lines = ["x,r,psi,dpsi_dx"]
     for i in range(1, args.samples + 1):
         x = args.xmax * i / args.samples

@@ -41,7 +41,6 @@ taken through libm ``pow`` (Python's float ``**``, or ``np.float_power``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,8 +51,6 @@ __all__ = [
     "PhysicalParams",
     "DerivedParams",
     "InvalidParameterError",
-    "NegativeFluxWarning",
-    "admissible",
     "derive_params",
     "spectral_to_energy",
 ]
@@ -68,15 +65,6 @@ class Model(str, Enum):
 
 class InvalidParameterError(ValueError):
     """A physical parameter violates its validity range."""
-
-
-class NegativeFluxWarning(UserWarning):
-    """Negative flux is accepted but worth flagging.
-
-    All results depend on the flux only through ``iota = ell - flux - beta*k``
-    and are periodic under ``flux -> flux + 1, ell -> ell + 1``, so negative
-    values are redundant with a relabelled ``ell``.
-    """
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -101,7 +89,8 @@ class PhysicalParams:
     * ``delta == 0`` for the inverse-square model
     * every float is finite
 
-    A negative ``flux`` emits :class:`NegativeFluxWarning` but is accepted.
+    ``flux`` and ``Omega`` may have either sign: a negative flux is a flux
+    tube of the other orientation.
     """
 
     model: Model
@@ -145,38 +134,6 @@ class PhysicalParams:
                 raise InvalidParameterError(
                     f"delta must be zero for the inverse-square model: got {self.delta}"
                 )
-        if self.flux < 0:
-            warnings.warn(
-                f"flux = {self.flux} is negative; results depend only on "
-                "iota = ell - flux - beta*k, so a relabelled ell covers this",
-                NegativeFluxWarning,
-                stacklevel=3,
-            )
-
-
-def admissible(p: PhysicalParams, field: str, values: np.ndarray) -> np.ndarray:
-    """Where ``p`` with ``field`` set to each of ``values`` meets the invariants.
-
-    The elementwise form of the checks in :class:`PhysicalParams`, for
-    callers that set one field along a whole axis; the other fields keep
-    their values from ``p``, which are valid.  ``ell`` values must be
-    integral.  Flux is never rejected for its sign.
-    """
-    values = np.asarray(values, dtype=float)
-    ok = np.isfinite(values)
-    if field in ("mass", "k"):
-        ok &= values > 0.0
-    elif field == "beta":
-        ok &= (values > 0.0) & (values < 1.0)
-    elif field == "gamma":
-        ok &= values >= 0.0
-    elif field == "ell":
-        ok &= values == np.floor(values)
-    elif field in ("omega0", "delta") and p.model is Model.INVERSE_SQUARE:
-        ok &= values == 0.0
-    elif field == "omega0":
-        ok &= values > 0.0
-    return ok
 
 
 @dataclass(frozen=True)

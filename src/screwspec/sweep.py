@@ -8,12 +8,11 @@ so gaps in the spectrum stay visible in the output.
 
 The whole axis is evaluated at once by the array kernel
 :func:`~screwspec.spectrum.n1_levels`, whose numbers are bit for bit those
-of the one-point routes.  The axis is checked against the
-:class:`~screwspec.params.PhysicalParams` invariants as a mask; the first
-value that breaks one (or that the one-point routes cannot solve) is
-rebuilt and solved on its own, so the error and any
-:class:`~screwspec.params.NegativeFluxWarning` are the ones a point by
-point sweep gives.  A valid sweep builds one ``PhysicalParams``.
+of the one-point routes.  The axis is checked by building
+:class:`~screwspec.params.PhysicalParams` at its least and greatest values;
+only where one is refused are the values walked to the first refused one.
+That value, or the first the one-point routes cannot solve, is rebuilt and
+solved on its own, so the error is the one a point by point sweep raises.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .params import InvalidParameterError, PhysicalParams, admissible
+from .params import InvalidParameterError, PhysicalParams
 from .spectrum import ground_state_closed_form, n1_levels, truncation_solve
 
 __all__ = [
@@ -140,27 +139,35 @@ def _params_at(p: PhysicalParams, spec: SweepSpec, value: float) -> PhysicalPara
     return dataclasses.replace(p, **{spec.parameter: value})
 
 
+def _refused(p: PhysicalParams, spec: SweepSpec, value: float) -> bool:
+    try:
+        _params_at(p, spec, value)
+    except InvalidParameterError:
+        return True
+    return False
+
+
 def sweep_rows(p: PhysicalParams, spec: SweepSpec) -> list[SweepRow]:
     """All rows of a sweep, in sweep order then branch order.
 
     Raises what ``PhysicalParams`` or the one-point route raises at the
-    first value where either fails, and warns once if the flux goes
-    negative before that.
+    first value where either fails.  ``PhysicalParams`` is built at the
+    least and greatest values of the axis, and at each value in turn
+    only when one of those two is refused.
     """
     values = sweep_values(spec)
     ells = [int(v) for v in values] if spec.parameter == "ell" else [p.ell] * len(values)
     axis = np.array(ells if spec.parameter == "ell" else values, dtype=float)
-    ok = admissible(p, spec.parameter, axis)
-    end = len(values) if ok.all() else int(ok.argmin())
+    end = len(values)
+    # Each invariant holds one field to an interval, so the axis is valid iff its least and
+    # greatest values are (not merely its ends: rounding can step past a subnormal stop).
+    if _refused(p, spec, values[axis.argmin()]) or _refused(p, spec, values[axis.argmax()]):
+        end = next(i for i, v in enumerate(values) if _refused(p, spec, v))
     levels = n1_levels(p, spec.method, spec.parameter, axis[:end])
     if levels.fault.any():
         end = int(levels.fault.argmax())
-    # One PhysicalParams per sweep: at the first negative flux, so that its
-    # warning comes out, or else at the first value.
-    first = int((axis[: end + 1] < 0.0).argmax()) if spec.parameter == "flux" else 0
-    checked = _params_at(p, spec, values[first])
     if end < len(values):
-        q = checked if first == end else _params_at(p, spec, values[end])
+        q = _params_at(p, spec, values[end])  # raises here at a refused value
         if spec.method == "closed-form":
             ground_state_closed_form(q)
         else:

@@ -175,7 +175,6 @@ class TestBadInput:
             ("--Omega", "-1E+2", "-100"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore::screwspec.NegativeFluxWarning")
     def test_negative_exponent_value_is_a_number(self, capsys, flag, spaced, joined):
         want = run(["energy", *OSC_ARGS, f"{flag}={joined}"], capsys)
         assert want[0] == 0
@@ -386,6 +385,22 @@ class TestSweep:
         spec = SweepSpec(parameter="beta", start=0.3, stop=0.7, steps=4)
         assert out == rows_to_csv(sweep_rows(P_OSC, spec))
 
+    def test_swept_field_flag_is_not_validated(self, capsys):
+        # the axis replaces --beta at every point, so its out-of-range value is never used
+        argv = ["sweep", *OSC_ARGS, "--param", "beta", "--from", "0.1", "--to", "0.9",
+                "--steps", "3"]
+        want = run(argv, capsys)
+        assert want[0] == 0
+        assert run([*argv, "--beta", "1.5"], capsys) == want
+
+    def test_ell_sweep_off_the_integers_is_refused(self, capsys):
+        code, out, err = run(
+            ["sweep", *OSC_ARGS, "--param", "ell", "--from", "0", "--to", "1", "--steps", "3"],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == "an ell sweep must hit integers exactly: got 0.5"
+
     def test_gnuplot_stub(self, capsys, tmp_path):
         data = tmp_path / "flux.csv"
         script = tmp_path / "flux.gp"
@@ -554,6 +569,20 @@ class TestOracle:
         assert code == 0
         assert "oracle report" in err
         assert "oracle report" not in out
+
+
+class TestEnergyFreeCommands:
+    @pytest.mark.parametrize(
+        "command",
+        [["wavefunction"], ["oracle", "--mode", "flat", "--report"]],
+        ids=["wavefunction", "oracle-report"],
+    )
+    def test_output_ignores_omega_and_delta(self, capsys, command):
+        # psi and the report's spectral values depend on neither; these two
+        # make the energy, which neither command prints, overflow
+        want = run([*command, *OSC_ARGS], capsys)
+        assert want[0] == 0
+        assert run([*command, *OSC_ARGS, "--delta", "1e308", "--Omega=-1e308"], capsys) == want
 
 
 class TestWavefunction:

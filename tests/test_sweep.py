@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import pickle
+import random
 import warnings
 
 import numpy as np
@@ -14,7 +16,6 @@ from sweep_golden import cases as golden_cases
 from screwspec import (
     InvalidParameterError,
     Model,
-    NegativeFluxWarning,
     PhysicalParams,
     SweepRow,
     SweepSpec,
@@ -27,7 +28,7 @@ from screwspec import (
     truncation_solve,
 )
 from screwspec import sweep as sweep_module
-from screwspec.spectrum import TruncationError, n1_levels
+from screwspec.spectrum import NegativeDiscriminantError, TruncationError, n1_levels
 
 GOLDEN_CASES = golden_cases()
 
@@ -311,21 +312,91 @@ class TestValidationParity:
                 sweep_rows(BASE, spec)
             assert str(got.value) == str(want)
 
-    def test_negative_flux_still_warns(self):
+    def test_sweep_through_negative_flux_returns_rows(self):
+        # a flux tube of the other orientation is valid input
         spec = SweepSpec(parameter="flux", start=-0.5, stop=0.5, steps=5)
-        with pytest.warns(NegativeFluxWarning, match="flux = -0.5 is negative"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rows = sweep_rows(BASE, spec)
         assert len(rows) == 10
-        spec = SweepSpec(parameter="flux", start=0.5, stop=-0.5, steps=5)
-        with pytest.warns(NegativeFluxWarning, match="flux = -0.25 is negative"):
-            sweep_rows(BASE, spec)
+        assert [row.param_value for row in rows[::2]] == sweep_values(spec)
 
-    def test_negative_base_flux_warns_in_any_sweep(self):
-        with pytest.warns(NegativeFluxWarning, match="flux = -0.25 is negative"):
+    def test_negative_base_flux_sweeps_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             p = dataclasses.replace(BASE, flux=-0.25)
-        spec = SweepSpec(parameter="Omega", start=0.0, stop=1.0, steps=3)
-        with pytest.warns(NegativeFluxWarning, match="flux = -0.25 is negative"):
-            sweep_rows(p, spec)
+            rows = sweep_rows(p, SweepSpec(parameter="Omega", start=0.0, stop=1.0, steps=3))
+        assert len(rows) == 6
+
+
+# The fields a sweep can leave the valid range through, with their bounds.
+# flux and Omega have none: their sweeps must succeed.
+BOUNDS = {"beta": (0.0, 1.0), "gamma": (0.0,), "omega0": (0.0,), "k": (0.0,),
+          "flux": (0.0,), "Omega": (0.0,)}
+
+
+def point_by_point(p, spec):
+    """(index, error) of the first value of ``spec`` that fails, solved one at a time, or None."""
+    for i, value in enumerate(sweep_values(spec)):
+        try:
+            q = dataclasses.replace(p, **{spec.parameter: value})
+            if spec.method == "truncation":
+                truncation_solve(q, 1)
+            else:
+                ground_state_closed_form(q)
+        except NegativeDiscriminantError:
+            pass  # gap rows, not an error
+        except (InvalidParameterError, TruncationError, OverflowError) as exc:
+            return i, exc
+    return None
+
+
+def parity_sweeps(model, method, field):
+    """Seeded sweeps whose ends fall below, on or above each bound of ``field``."""
+    rng = random.Random(f"17:{model}:{method}:{field}")
+    base = BASE if model == "oscillator" else GOLDEN_INV
+    sweeps = []
+    for bound in BOUNDS[field]:
+        for sides in itertools.product((-1, 0, 1), repeat=2):
+            start, stop = (bound + side * rng.uniform(1e-3, 0.6) for side in sides)
+            sweeps.append((base, SweepSpec(field, start, stop, rng.randint(2, 40),
+                                           method=method)))
+    return sweeps
+
+
+class TestSweepParity:
+    """A sweep raises what a point-by-point sweep raises, at the same value, or succeeds."""
+
+    @pytest.mark.parametrize("model", ["oscillator", "inverse-square"])
+    @pytest.mark.parametrize("field", sorted(BOUNDS))
+    def test_sweep_agrees_with_point_by_point(self, field, model):
+        failed_at = []
+        sweeps = [s for method in ("closed-form", "truncation")
+                  for s in parity_sweeps(model, method, field)]
+        for base, spec in sweeps:
+            want = point_by_point(base, spec)
+            if want is None:
+                assert len(sweep_rows(base, spec)) == 2 * spec.steps, spec
+                continue
+            failed_at.append(want[0])
+            with pytest.raises(type(want[1])) as got:
+                sweep_rows(base, spec)
+            assert str(got.value) == str(want[1]), spec
+        if field in ("flux", "Omega"):
+            assert failed_at == []
+        else:  # sweeps refused at their start and sweeps refused further on
+            assert 0 in failed_at and max(failed_at) > 0
+
+    @pytest.mark.parametrize("method", ["closed-form", "truncation"])
+    def test_a_value_past_both_ends_is_refused(self, method):
+        # 13/8 rounds to 2 subnormal steps, so the 8th value overshoots the
+        # stop 0.0: valid ends, an invalid value between them
+        spec = SweepSpec("gamma", 13 * 5e-324, 0.0, 9, method=method)
+        assert sweep_values(spec)[7] == -5e-324
+        with pytest.raises(InvalidParameterError) as got:
+            sweep_rows(BASE, spec)
+        assert str(got.value) == str(point_by_point(BASE, spec)[1])
+        assert str(got.value) == "gamma must be non-negative: got -5e-324"
 
 
 def reference_rows_to_csv(rows):
