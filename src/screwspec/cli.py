@@ -13,10 +13,11 @@ standard error and an exit status, never a stack trace:
 error              exit  when
 =================  ====  ==================================================
 invalid-input      1     a malformed flag, a flag the command does not offer,
-                         an invalid parameter, a square or an energy that
-                         overflows, an output path that cannot be written
-                         (a directory, or one in no directory, is refused
-                         before any work)
+                         an invalid parameter, a square or a level's energy,
+                         discriminant or diagnostics that overflow, a grid
+                         residual that is not finite, an output path that
+                         cannot be written (a directory, or one in no
+                         directory, is refused before any work)
 grid-too-coarse    1     a finite-difference grid fails the residual gate
 no-real-level      2     no real level at these parameters (a negative
                          closed-form discriminant also gives
@@ -431,7 +432,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # InvalidParameterError and argparse's errors among them
         _error_json("invalid-input", str(exc))
         return 1
-    except OverflowError as exc:  # a square or an energy leaves the float range
+    except OverflowError as exc:  # a square or a level's number leaves the float range
         _error_json("invalid-input", f"overflow at these parameters: {exc}")
         return 1
     return 0

@@ -306,7 +306,8 @@ def oracle_eigenvalues(
     residual exceeds ``residual_tol`` (pass None to skip the gate, e.g.
     for deliberate coarse-grid convergence studies).  A tolerance that is
     NaN, zero or negative is rejected with :class:`InvalidParameterError`,
-    and so is a grid on which the potential overflows.
+    and so is a grid on which the potential overflows or a residual is
+    not finite.
     """
     if residual_tol is not None and not residual_tol > 0.0:
         raise InvalidParameterError(f"residual_tol must be positive: got {residual_tol}")
@@ -333,8 +334,13 @@ def oracle_eigenvalues(
     off = np.full(grid.n_points - 1, -1.0 / h**2)
     gap = 3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2
     eigenvalues, vectors = _lowest_eigenpairs(diag, off, n_eigs, BISECTION_GAP_FRACTION * gap)
-    norms = _residual_norms(h, gate, eigenvalues, vectors)
-    if residual_tol is not None and np.any(norms > residual_tol):
+    with np.errstate(all="ignore"):
+        norms = _residual_norms(h, gate, eigenvalues, vectors)
+    if not np.isfinite(norms).all():
+        raise InvalidParameterError(
+            f"the residual on the {grid.mode.value} grid is not finite at these parameters"
+        )
+    if residual_tol is not None and not np.all(norms <= residual_tol):
         worst = float(norms.max())
         raise OracleAccuracyError(
             f"grid too coarse for mode {grid.mode.value}: worst back-substitution "

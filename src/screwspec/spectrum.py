@@ -21,7 +21,8 @@ Two routes are implemented side by side:
 Both n = 1 routes also run as one array kernel, :func:`n1_levels`, which
 evaluates a whole parameter axis at once (sweeps use it, and
 :func:`ground_state_closed_form` is the kernel at one point).  Its
-truncation roots are bit for bit those of :func:`truncation_solve`.
+truncation roots are bit for bit those of :func:`truncation_solve`, and
+at the first point it cannot solve it raises what that point raises alone.
 
 The table of c_i as polynomials in the spectral parameter has one
 definition, the plain recurrence ``_table``: it runs on Python floats at
@@ -40,6 +41,7 @@ value, with the analytic route's rate, it equals the recurrence seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -143,18 +145,19 @@ def _horner(coeffs: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 class LambdaPolynomialTable:
     """Series coefficients as polynomials in the spectral parameter.
 
-    ``entries[i]`` holds the ascending coefficients of c_i as a
-    polynomial of degree i in the spectral parameter (c_0 = 1).
+    ``entries[i]`` lists the ascending coefficients of c_i as a
+    polynomial of degree i in the spectral parameter (c_0 = 1), as Python
+    floats; :meth:`entry` gives one as an array.
     """
 
-    entries: tuple[np.ndarray, ...]
+    entries: tuple[list[float], ...]
 
     @property
     def n_max(self) -> int:
         return len(self.entries) - 1
 
     def entry(self, i: int) -> np.ndarray:
-        return self.entries[i]
+        return np.array(self.entries[i])
 
     def eval(self, i: int, spectral_value: float) -> float:
         """Value of c_i at a numeric spectral parameter."""
@@ -211,9 +214,7 @@ def lambda_polynomials(p: PhysicalParams, n_max: int) -> LambdaPolynomialTable:
         raise ValueError(f"n_max must be >= 1: got {n_max}")
     d = derive_params(p)
     table, _ = _table(d.iota**2, d.j, d.omega, p.beta**2, n_max)
-    # a tuple of a list, not of an iterator: CPython resizes the latter, and the
-    # resized tuples pile up on its free lists, raising the peak memory
-    return LambdaPolynomialTable(entries=tuple([np.array(c) for c in table]))
+    return LambdaPolynomialTable(entries=tuple(table))
 
 
 def _companions(coeffs: np.ndarray) -> np.ndarray:
@@ -285,6 +286,26 @@ def _diagnostics(table: Sequence[Sequence], n: int, spectral):
     return np.abs(values[n + 2]) / largest, values[1]
 
 
+def _checked_discriminant(disc: float) -> float:
+    """The n = 1 discriminant; ``OverflowError`` where it is not finite (every input is)."""
+    if not math.isfinite(disc):
+        raise OverflowError(f"the n = 1 discriminant is {disc!r}")
+    return disc
+
+
+def _level_numbers(p: PhysicalParams, table: Sequence[list], n: int, spectral: float) -> tuple:
+    """(energy, termination_defect, c1_over_c0) at ``spectral``, from a one-point table.
+
+    Raises ``OverflowError`` where one of them overflows.
+    """
+    energy = spectral_to_energy(p, spectral)
+    defect, c1_over_c0 = _diagnostics(table, n, spectral)
+    for name, value in (("termination_defect", defect), ("c1_over_c0", c1_over_c0)):
+        if not math.isfinite(value):
+            raise OverflowError(f"the {name} at spectral value {spectral!r} is {float(value)!r}")
+    return energy, float(defect), c1_over_c0
+
+
 def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
     """Levels from the order-n truncation condition c_{n+1}(spectral) = 0.
 
@@ -292,32 +313,32 @@ def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
     empty list when every root is complex).  For n = 1 with two real
     roots the smaller is labelled ``minus``, the larger ``plus``.
     Raises :class:`TruncationError` where the order is too high for the
-    monomial table and companion roots.
+    monomial table and companion roots, and ``OverflowError`` where a
+    square, the n = 1 discriminant or a level's numbers overflow.
     """
     if n < 1:
         raise ValueError(f"truncation order must be >= 1: got {n}")
-    # Python floats: Horner's rule runs faster on them than on numpy scalars
-    table = [c.tolist() for c in lambda_polynomials(p, n + 2).entries]
+    table = lambda_polynomials(p, n + 2).entries
     roots = _real_roots(table[n + 1])
     disc = None
     if n == 1:
         c0, c1, c2 = table[2]
-        disc = c1 * c1 - 4.0 * c2 * c0
+        disc = _checked_discriminant(c1 * c1 - 4.0 * c2 * c0)
     levels = []
     for idx, root in enumerate(roots):
         branch = None
         if n == 1 and len(roots) == 2:
             branch = Branch.MINUS if idx == 0 else Branch.PLUS
-        defect, c1_over_c0 = _diagnostics(table, n, root)
+        energy, defect, c1_over_c0 = _level_numbers(p, table, n, root)
         levels.append(
             EnergyLevel(
                 n=n,
                 ell=p.ell,
                 branch=branch,
-                energy=spectral_to_energy(p, root),
+                energy=energy,
                 spectral=root,
                 discriminant=disc,
-                termination_defect=float(defect),
+                termination_defect=defect,
                 c1_over_c0=c1_over_c0,
             )
         )
@@ -345,18 +366,14 @@ _AXIS_FIELDS = ("mass", "beta", "k", "ell", "omega0", "gamma", "delta", "Omega",
 class N1Levels:
     """The n = 1 level pair at each point of a parameter axis.
 
-    ``discriminant`` and ``fault`` have shape (N,); the other arrays have
-    shape (N, 2), column 0 for the minus branch and column 1 for plus.
-    ``present`` marks real levels, and the other (N, 2) arrays hold NaN
-    where it is False.  A truncation double root (two roots within 1e-8,
-    relative) is one unlabelled level, kept in column 0 as
-    :func:`truncation_solve` returns it.  ``discriminant`` belongs to the
-    closed form, or to the quadratic c_2 for truncation, and is set at
-    every point.  ``fault`` marks points where the one-point routes raise
-    (:func:`ground_state_closed_form`, :func:`truncation_solve`): the
-    polynomial table loses a degree, a square overflows, the companion
-    matrix is not finite, a root fails the backward-error bound, or a
-    level's energy leaves the float range.
+    ``discriminant`` has shape (N,); the other arrays have shape (N, 2),
+    column 0 for the minus branch and column 1 for plus.  ``present``
+    marks real levels, and the other (N, 2) arrays hold NaN where it is
+    False.  A truncation double root (two roots within 1e-8, relative) is
+    one unlabelled level, kept in column 0 as :func:`truncation_solve`
+    returns it.  ``discriminant`` belongs to the closed form, or to the
+    quadratic c_2 for truncation, and is set at every point.  Every
+    number is finite: :func:`n1_levels` raises where one would not be.
     """
 
     discriminant: np.ndarray
@@ -365,7 +382,6 @@ class N1Levels:
     energy: np.ndarray
     termination_defect: np.ndarray
     c1_over_c0: np.ndarray
-    fault: np.ndarray
 
 
 def _polished_roots(
@@ -450,7 +466,7 @@ def n1_levels(
     p: PhysicalParams,
     method: str,
     parameter: str | None = None,
-    values: np.ndarray | None = None,
+    values: Sequence | None = None,
 ) -> N1Levels:
     """Both n = 1 levels at ``p``, or with ``parameter`` set to each of ``values``.
 
@@ -459,7 +475,9 @@ def n1_levels(
     c_2, as :func:`truncation_solve` finds them at n = 1).  Every number
     is computed with the same floating-point operations as the one-point
     routes, elementwise, so the results are bit for bit theirs.  The
-    values are not validated: that is the caller's job.
+    values are not validated: that is the caller's job.  At the first
+    point it cannot solve, it raises what the one-point route raises at
+    ``p`` with ``parameter`` set to that value as the caller passed it.
     """
     size = 1 if parameter is None else len(values)
     f = {name: np.full(size, getattr(p, name), dtype=float) for name in _AXIS_FIELDS}
@@ -483,13 +501,29 @@ def n1_levels(
             pairs, count, failed = _polished_roots(table[2], lost | fault)
             roots = pairs.T
             fault |= failed
-        fault |= (count > 0) & np.isinf(k2) & np.isfinite(f["k"])
+        fault |= ~np.isfinite(disc) | ((count > 0) & np.isinf(k2) & np.isfinite(f["k"]))
         # shape (2, N) until the transposes below: row 0 minus, row 1 plus
-        present = np.arange(2)[:, None] < np.where(fault, 0, count)
+        present = np.arange(2)[:, None] < count
         spectral = np.where(present, roots, np.nan)
         defect, c1_over_c0 = _diagnostics(table, 1, spectral)
         energy = _energy(f, k2, spectral, iota)
-        fault |= (present & np.isfinite(spectral) & ~np.isfinite(energy)).any(axis=0)
+        finite = np.isfinite(energy) & np.isfinite(defect) & np.isfinite(c1_over_c0)
+        fault |= (present & ~finite).any(axis=0)
+    if fault.any():
+        first = int(fault.argmax())
+        q = p if parameter is None else dataclasses.replace(p, **{parameter: values[first]})
+        if method == "closed-form":
+            # the scalar steps, in order: Python's float ** on the squares, the
+            # discriminant, then the polynomial table and each level's numbers
+            derive_params(q).iota ** 2
+            _closed_form_rate(vars(q)) ** 2
+            _checked_discriminant(float(disc[first]))
+            table = lambda_polynomials(q, 3).entries
+            for value in spectral[present[:, first], first].tolist():
+                _level_numbers(q, table, 1, value)
+        else:
+            truncation_solve(q, 1)
+        raise RuntimeError(f"the n = 1 kernel faults where the one-point route succeeds: {q}")
     return N1Levels(
         discriminant=disc,
         present=present.T,
@@ -497,7 +531,6 @@ def n1_levels(
         energy=energy.T,
         termination_defect=defect.T,
         c1_over_c0=c1_over_c0.T,
-        fault=fault,
     )
 
 
@@ -508,20 +541,10 @@ def ground_state_closed_form(p: PhysicalParams) -> list[EnergyLevel]:
     The returned records carry the truncation-condition diagnostics
     (``c1_over_c0``, ``termination_defect``) evaluated at these spectral
     values, so discrepancies with :func:`truncation_solve` are visible
-    directly on the level objects.  This is :func:`n1_levels` at one point.
+    directly on the level objects.  This is :func:`n1_levels` at one
+    point, which raises where the pair cannot be solved.
     """
     pair = n1_levels(p, "closed-form")
-    if pair.fault[0]:
-        # raise what the scalar steps raise, in their order: Python's float
-        # ** on the closed form's squares, the polynomial table, k**2, then
-        # each level's energy
-        derive_params(p).iota ** 2
-        _closed_form_rate(vars(p)) ** 2
-        lambda_polynomials(p, 3)
-        p.k ** 2
-        for spectral in pair.spectral[0, pair.present[0]].tolist():
-            spectral_to_energy(p, spectral)
-        raise OverflowError("the n = 1 closed form overflows at these parameters")
     disc = float(pair.discriminant[0])
     if not pair.present[0, 0]:
         raise NegativeDiscriminantError(disc, p.model)

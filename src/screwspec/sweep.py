@@ -8,11 +8,12 @@ so gaps in the spectrum stay visible in the output.
 
 The whole axis is evaluated at once by the array kernel
 :func:`~screwspec.spectrum.n1_levels`, whose numbers are bit for bit those
-of the one-point routes.  The axis is checked by building
-:class:`~screwspec.params.PhysicalParams` at its least and greatest values;
-only where one is refused are the values walked to the first refused one.
-That value, or the first the one-point routes cannot solve, is rebuilt and
-solved on its own, so the error is the one a point by point sweep raises.
+of the one-point routes, and which raises at the first value it cannot
+solve what the one-point route raises there.  The values run from the
+start to the stop without passing either, so the axis is checked by
+building :class:`~screwspec.params.PhysicalParams` at its two ends; only
+where one is refused are the values walked to the first refused one.
+Either way the error is the one a point by point sweep raises.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .params import InvalidParameterError, PhysicalParams
-from .spectrum import ground_state_closed_form, n1_levels, truncation_solve
+from .spectrum import n1_levels
 
 __all__ = [
     "SWEEPABLE_PARAMETERS",
@@ -116,13 +117,17 @@ _ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def sweep_values(spec: SweepSpec) -> list[float]:
-    """The inclusive linear grid of swept values.
+    """The inclusive linear grid of swept values, from start to stop.
 
-    An ``ell`` sweep must step through integers exactly; anything else
-    is rejected rather than silently rounded.
+    Each value is ``start + i * step``, held between the two ends where
+    rounding would carry it past one (subnormal steps can), so the values
+    are monotone and the ends are their extremes.  An ``ell`` sweep must
+    step through integers exactly; anything else is rejected rather than
+    silently rounded.
     """
     step = (spec.stop - spec.start) / (spec.steps - 1)
-    values = [spec.start + i * step for i in range(spec.steps)]
+    lo, hi = sorted((spec.start, spec.stop))
+    values = np.clip(spec.start + np.arange(spec.steps) * step, lo, hi).tolist()
     values[-1] = spec.stop
     if spec.parameter == "ell":
         for v in values:
@@ -133,18 +138,13 @@ def sweep_values(spec: SweepSpec) -> list[float]:
     return values
 
 
-def _params_at(p: PhysicalParams, spec: SweepSpec, value: float) -> PhysicalParams:
-    if spec.parameter == "ell":
-        value = int(value)
-    return dataclasses.replace(p, **{spec.parameter: value})
-
-
-def _refused(p: PhysicalParams, spec: SweepSpec, value: float) -> bool:
+def _refusal(p: PhysicalParams, parameter: str, value) -> InvalidParameterError | None:
+    """What ``PhysicalParams`` raises with ``parameter`` set to ``value``, or None."""
     try:
-        _params_at(p, spec, value)
-    except InvalidParameterError:
-        return True
-    return False
+        dataclasses.replace(p, **{parameter: value})
+    except InvalidParameterError as exc:
+        return exc
+    return None
 
 
 def sweep_rows(p: PhysicalParams, spec: SweepSpec) -> list[SweepRow]:
@@ -152,30 +152,21 @@ def sweep_rows(p: PhysicalParams, spec: SweepSpec) -> list[SweepRow]:
 
     Raises what ``PhysicalParams`` or the one-point route raises at the
     first value where either fails.  ``PhysicalParams`` is built at the
-    least and greatest values of the axis, and at each value in turn
-    only when one of those two is refused.
+    two ends of the axis, and at each value in turn only when one of them
+    is refused; the kernel then solves the values before the first
+    refused one, raising any earlier failure, and the refusal is raised.
     """
     values = sweep_values(spec)
     ells = [int(v) for v in values] if spec.parameter == "ell" else [p.ell] * len(values)
-    axis = np.array(ells if spec.parameter == "ell" else values, dtype=float)
-    end = len(values)
-    # Each invariant holds one field to an interval, so the axis is valid iff its least and
-    # greatest values are (not merely its ends: rounding can step past a subnormal stop).
-    if _refused(p, spec, values[axis.argmin()]) or _refused(p, spec, values[axis.argmax()]):
-        end = next(i for i, v in enumerate(values) if _refused(p, spec, v))
-    levels = n1_levels(p, spec.method, spec.parameter, axis[:end])
-    if levels.fault.any():
-        end = int(levels.fault.argmax())
-    if end < len(values):
-        q = _params_at(p, spec, values[end])  # raises here at a refused value
-        if spec.method == "closed-form":
-            ground_state_closed_form(q)
-        else:
-            truncation_solve(q, 1)
-        raise RuntimeError(
-            f"the n = 1 kernel stopped at {spec.parameter} = {values[end]!r}, "
-            "where the one-point route succeeds"
-        )
+    axis = ells if spec.parameter == "ell" else values
+    # Each invariant holds one field to an interval, and the values are monotone,
+    # so the axis is valid iff its two ends are.
+    if _refusal(p, spec.parameter, axis[0]) or _refusal(p, spec.parameter, axis[-1]):
+        end, refusal = next((i, exc) for i, v in enumerate(axis)
+                            if (exc := _refusal(p, spec.parameter, v)))
+        n1_levels(p, spec.method, spec.parameter, axis[:end])
+        raise refusal
+    levels = n1_levels(p, spec.method, spec.parameter, axis)
     columns = [0, 1] if spec.branch == "all" else [int(spec.branch == "plus")]
     width = len(columns)
 

@@ -197,10 +197,18 @@ class TestOverflow:
              "--to=-1.7e308", "--steps", "2", "--format", "json"],
             ["wavefunction", "--flux", "1e160"],
             ["oracle", "--mode", "core", "--mass", "1e300", "--points", "100"],
+            # a level's discriminant or diagnostics, once printed as NaN or -Infinity
+            ["energy", *OSC_ARGS, "--flux", "1e80"],
+            ["energy", *OSC_ARGS, "--flux", "1e50", "--method", "truncation", "--n", "2"],
+            ["energy", *OSC_ARGS, "--mass", "1e150", "--method", "truncation"],
+            ["energy", "--gamma", "5e307"],
+            ["sweep", "--param", "gamma", "--from", "0", "--to", "5e307", "--steps", "2",
+             "--format", "json"],
         ],
         ids=[
             "energy", "sweep", "energy-sum", "energy-sum-truncation", "sweep-energy-sum",
-            "wavefunction", "oracle-potential",
+            "wavefunction", "oracle-potential", "defect", "defect-truncation-n2",
+            "defect-truncation-mass", "discriminant", "sweep-discriminant",
         ],
     )
     # a numpy warning would print lines of its own before the JSON error
@@ -237,12 +245,15 @@ class TestErrorContract:
             (["wavefunction", *NO_TRUNCATION_ROOT], 2, "no-real-level"),
             (["energy", *OSC_ARGS, "--method", "truncation", "--n", "80"], 3, "truncation-failed"),
             (["oracle", *OSC_ARGS, "--neigs", "3", "--points", "3000"], 1, "grid-too-coarse"),
+            # NaN residual norms, which the gate once let through
+            (["oracle", *OSC_ARGS, "--flux", "1e80", "--mode", "outer"], 1, "invalid-input"),
+            (["oracle", *OSC_ARGS, "--flux", "1e80", "--mode", "core"], 1, "invalid-input"),
         ],
         ids=[
             "argparse", "invalid-value", "out-missing-dir", "out-is-dir",
             "gnuplot-missing-dir", "verify-out-missing-dir", "energy-discriminant",
             "wavefunction-discriminant", "energy-no-root", "wavefunction-no-root",
-            "truncation-failed", "grid-too-coarse",
+            "truncation-failed", "grid-too-coarse", "outer-residual-nan", "core-residual-nan",
         ],
     )
     def test_failure_is_one_json_line(self, capsys, tmp_path, argv, status, error):
@@ -569,6 +580,12 @@ class TestOracle:
         assert code == 0
         assert "oracle report" in err
         assert "oracle report" not in out
+
+    def test_report_names_a_complex_closed_form(self, capsys):
+        code, out, err = run(["oracle", *NO_CLOSED_FORM, "--report"], capsys)
+        assert code == 0 and out.startswith("mode,index,lambda")
+        # c_2 has no real root here either, so nothing follows the line
+        assert err.splitlines()[-1] == "  closed form: none (negative discriminant (-5))"
 
 
 class TestEnergyFreeCommands:

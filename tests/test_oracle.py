@@ -195,6 +195,16 @@ class TestEigenvalues:
         res = oracle_eigenvalues(p, grid, residual_tol=None)
         assert res.eigenvalues[0] == pytest.approx(2.0, rel=1e-4)
 
+    @pytest.mark.parametrize("mode", [GridMode.OUTER, GridMode.CORE])
+    @pytest.mark.parametrize("tol", [1e-6, 1e300, None])
+    def test_a_residual_that_is_not_finite_is_refused(self, mode, tol):
+        # at flux 1e80 the residual terms overflow and the norms come out NaN,
+        # which a gate written as norms > tol lets through
+        p = PhysicalParams(model=Model.OSCILLATOR, mass=1.0, omega0=2.0, beta=0.5, k=0.5,
+                           ell=2, flux=1e80)
+        with pytest.raises(InvalidParameterError, match="residual .* is not finite"):
+            oracle_eigenvalues(p, GridSpec.default(mode, p, 400), residual_tol=tol)
+
     def test_eigensolve_is_looked_up_on_the_module(self, monkeypatch):
         # profilers time the eigensolve alone by replacing this module global
         import screwspec.oracle as oracle_mod

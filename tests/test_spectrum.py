@@ -621,7 +621,6 @@ class TestN1Kernel:
     def assert_truncation_solve(p, got, i=0):
         """Row ``i`` of an N1Levels equals ``truncation_solve(p, 1)`` bit for bit."""
         want = truncation_solve(p, 1)
-        assert not got.fault[i]
         assert got.present[i].sum() == len(want)
         for col, lv in enumerate(want):
             assert repr((
@@ -697,16 +696,37 @@ class TestN1Kernel:
             lambda q: truncation_solve(q, 1))
         # at delta = 1e308 the energy overflows once Omega iota < -1e308 (iota = 1)
         shifted = dataclasses.replace(P_OSC, delta=1e308)
+        messages = set()
         for p, field, values in [
-            (P_OSC, "beta", [0.5, 1e-60, 1e-80, 1e-170]),
-            (P_OSC, "flux", [0.75, 1e160]),
-            (shifted, "Omega", [0.0, -1e308]),
+            (P_OSC, "beta", [0.5, 0.4, 1e-60, 1e-80, 1e-170]),
+            (P_OSC, "flux", [0.75, 1.5, 1e160, 1e80]),
+            (P_OSC, "flux", [0.75, 1e80]),
+            (P_OSC, "gamma", [0.0, 5e307]),
+            (P_OSC, "mass", [1.0, 1e150]),
+            (shifted, "Omega", [0.0, -1.0, -1e308]),
         ]:
-            fault = n1_levels(p, method, field, values).fault
-            assert fault.tolist() == [False] + [True] * (len(values) - 1)
-            for value in values[1:]:
-                with pytest.raises((TruncationError, OverflowError)):
-                    one_point(dataclasses.replace(p, **{field: value}))
+            first = next(i for i, value in enumerate(values) if self.raises(
+                one_point, dataclasses.replace(p, **{field: value})))
+            with pytest.raises((TruncationError, OverflowError)) as want:
+                one_point(dataclasses.replace(p, **{field: values[first]}))
+            with pytest.raises(want.type) as got:
+                n1_levels(p, method, field, values)
+            assert str(got.value) == str(want.value), (field, values)
+            messages.add(str(want.value))
+            n1_levels(p, method, field, values[:first])  # the points before it solve
         # the scalar route's own error where a square overflows: Python's float **
-        with pytest.raises(OverflowError, match="Numerical result out of range"):
-            one_point(dataclasses.replace(P_OSC, flux=1e160))
+        assert "(34, 'Numerical result out of range')" in messages
+        # and the overflows that once came back as NaN or -inf numbers
+        assert any(m.startswith("the termination_defect at spectral value") for m in messages)
+        if method == "closed-form":
+            assert "the n = 1 discriminant is -inf" in messages
+
+    @staticmethod
+    def raises(one_point, q):
+        try:
+            one_point(q)
+        except NegativeDiscriminantError:
+            return False
+        except (TruncationError, OverflowError):
+            return True
+        return False

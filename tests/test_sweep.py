@@ -335,11 +335,14 @@ BOUNDS = {"beta": (0.0, 1.0), "gamma": (0.0,), "omega0": (0.0,), "k": (0.0,),
           "flux": (0.0,), "Omega": (0.0,)}
 
 
-def point_by_point(p, spec):
-    """(index, error) of the first value of ``spec`` that fails, solved one at a time, or None."""
+def point_by_point(p, spec, field=None):
+    """(index, error) of the first value of ``spec`` that fails, solved one at a time, or None.
+
+    ``field``, if given, takes the values in place of the swept parameter.
+    """
     for i, value in enumerate(sweep_values(spec)):
         try:
-            q = dataclasses.replace(p, **{spec.parameter: value})
+            q = dataclasses.replace(p, **{field or spec.parameter: value})
             if spec.method == "truncation":
                 truncation_solve(q, 1)
             else:
@@ -362,6 +365,12 @@ def parity_sweeps(model, method, field):
             sweeps.append((base, SweepSpec(field, start, stop, rng.randint(2, 40),
                                            method=method)))
     return sweeps
+
+
+# The two extremes each degenerate axis runs between.
+DEGENERATE = {"beta": (0.5, 1e-200), "flux": (0.75, 1e300), "k": (0.5, 1e300),
+              "mass": (1.0, 1e300), "omega0": (2.0, 1e300), "gamma": (1.0, 1e308),
+              "Omega": (-1.0, -1e308)}
 
 
 class TestSweepParity:
@@ -388,15 +397,63 @@ class TestSweepParity:
             assert 0 in failed_at and max(failed_at) > 0
 
     @pytest.mark.parametrize("method", ["closed-form", "truncation"])
-    def test_a_value_past_both_ends_is_refused(self, method):
-        # 13/8 rounds to 2 subnormal steps, so the 8th value overshoots the
-        # stop 0.0: valid ends, an invalid value between them
-        spec = SweepSpec("gamma", 13 * 5e-324, 0.0, 9, method=method)
-        assert sweep_values(spec)[7] == -5e-324
-        with pytest.raises(InvalidParameterError) as got:
-            sweep_rows(BASE, spec)
-        assert str(got.value) == str(point_by_point(BASE, spec)[1])
-        assert str(got.value) == "gamma must be non-negative: got -5e-324"
+    def test_values_stay_within_the_ends(self, method):
+        # 13 subnormal units over 8 steps round to 2 a step, so start + 7 step
+        # would overshoot the stop 0.0 to -5e-324, which gamma refuses
+        for spec in [SweepSpec("gamma", 13 * 5e-324, 0.0, 9, method=method),
+                     SweepSpec("flux", 6.4e-323, 0.0, 9, method=method)]:
+            values = sweep_values(spec)
+            assert values[0] == spec.start and values[-1] == spec.stop
+            assert values == sorted(values, reverse=True)
+            assert point_by_point(BASE, spec) is None
+            rows = sweep_rows(BASE, spec)
+            assert [row.param_value for row in rows[::2]] == values
+
+    @pytest.mark.parametrize("field", sorted(DEGENERATE))
+    def test_degenerate_axes_agree_with_point_by_point(self, field):
+        # axes running out to where squares, the table, the discriminant or the
+        # energy overflow or underflow; mass is no sweep parameter, so its axis
+        # goes to the kernel directly
+        near, far = DEGENERATE[field]
+        outcomes = set()
+        for model, method in itertools.product(Model, ("closed-form", "truncation")):
+            base = BASE if model is Model.OSCILLATOR else GOLDEN_INV
+            if field in ("omega0", "Omega") and model is not Model.OSCILLATOR:
+                continue  # the inverse-square model fixes omega0 and delta at zero
+            if field == "Omega":
+                base = dataclasses.replace(base, delta=1e308)
+            rng = random.Random(f"18:{field}:{method}:{model.value}")
+            for _ in range(12):
+                # each end at an extreme, or between them on a log scale
+                ends = [rng.choice([near, far, near * (far / near) ** rng.random()])
+                        for _ in range(2)]
+                swept = "flux" if field == "mass" else field
+                spec = SweepSpec(swept, *ends, rng.randint(2, 9), method=method)
+                outcomes.add(self.agrees(base, spec, field))
+        assert "rows" in outcomes and len(outcomes) > 1, outcomes
+
+    @staticmethod
+    def agrees(base, spec, field):
+        """Check the sweep against ``point_by_point``; name what both gave."""
+        values = sweep_values(spec)
+        if field == spec.parameter:
+            run = lambda: sweep_rows(base, spec)
+        else:
+            run = lambda: n1_levels(base, spec.method, field, values)
+        want = point_by_point(base, spec, field)
+        if want is not None:
+            with pytest.raises(type(want[1])) as got:
+                run()
+            assert str(got.value) == str(want[1]), (base, spec)
+            return type(want[1]).__name__
+        got = run()
+        if field == spec.parameter:
+            numbers = [c for row in got for c in dataclasses.astuple(row)[3:] if c is not None]
+        else:
+            numbers = [got.discriminant, *(getattr(got, name)[got.present] for name in
+                       ("spectral", "energy", "termination_defect", "c1_over_c0"))]
+        assert all(np.isfinite(a).all() for a in numbers), (base, spec)
+        return "rows"
 
 
 def reference_rows_to_csv(rows):
