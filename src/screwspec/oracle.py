@@ -45,21 +45,27 @@ of the grid; residuals above ``residual_tol`` raise
 :class:`OracleAccuracyError` (grid too coarse) rather than returning
 silently wrong numbers.
 
-scipy, which supplies the eigensolver, is imported on the first solve
-and not with the module: ``import screwspec`` and the commands that never
-reach the oracle (``energy``, ``sweep``, ``wavefunction``) need numpy
-alone, and importing ``scipy.linalg`` would more than double their
-start-up time.
+scipy supplies ``stebz`` and ``stein``, and nothing else: the first
+solve loads the two routines from scipy's compiled LAPACK wrappers and
+never imports ``scipy.linalg``, whose import alone would add about a
+quarter of a second and 20 MB of peak memory to every ``oracle`` and
+``verify`` run (scipy 1.17, 2-CPU x86-64 Linux).  ``import screwspec``
+and the commands that never reach the oracle (``energy``, ``sweep``,
+``wavefunction``) load no scipy at all.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .params import InvalidParameterError, Model, PhysicalParams
 
@@ -83,6 +89,9 @@ RESIDUAL_TRIM = 0.05
 
 # bisection tolerance as a fraction of the gap bound 3 pi^2 / L^2
 BISECTION_GAP_FRACTION = 1e-3
+
+# (dstebz, dstein), loaded by the first solve
+_lapack: tuple | None = None
 
 
 class GridMode(str, Enum):
@@ -250,15 +259,60 @@ def _residual_norms(
     return norms
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """:func:`scipy.linalg.eigh_tridiagonal`, imported on the first solve.
+def _load_lapack() -> tuple:
+    """LAPACK ``dstebz`` and ``dstein`` from scipy's compiled ``_flapack`` extension.
 
-    ``oracle_eigenvalues`` looks this name up when it runs, so a profiler
-    can replace it on the module to time the eigensolve alone.
+    These are the functions ``scipy.linalg.lapack`` exports.  ``import
+    scipy`` runs the package's own ``__init__`` alone, which sets up the
+    libraries scipy bundles; the extension is then loaded from its file
+    under a private name, so ``scipy/linalg/__init__.py`` never runs.
     """
-    from scipy.linalg import eigh_tridiagonal as solve
+    import scipy
 
-    return solve(d, e, **kwargs)
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+    # the last part of the name must be the extension's own: it names its init function
+    spec = importlib.util.spec_from_file_location("screwspec._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dstebz, module.dstein
+
+
+def _check_info(info: int, routine: str, failure: str) -> None:
+    """Raise what :func:`scipy.linalg.eigh_tridiagonal` raises on a non-zero ``info``."""
+    driver = f"{routine} (eigh_tridiagonal)"
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal {driver}")
+    if info > 0:
+        raise LinAlgError(f"{driver} {failure % info}")
+
+
+def eigh_tridiagonal(d, e, *, tol, select, select_range):
+    """Eigenpairs ``select_range`` (from 0, both ends in) of the symmetric tridiagonal (d, e).
+
+    :func:`scipy.linalg.eigh_tridiagonal` with ``select="i"``, call for
+    call as its ``stebz`` branch: ``dstebz`` bisects to ``tol`` (0 for
+    ulp * ||T||) in block order, ``dstein`` takes each vector by inverse
+    iteration, the pairs are sorted by value, and a non-zero LAPACK
+    ``info`` raises scipy's error.  ``d`` and ``e`` must be finite.  The
+    routines are loaded on the first call.  ``oracle_eigenvalues`` looks
+    this name up when it runs, so a profiler can replace it on the module
+    to time the eigensolve alone.
+    """
+    global _lapack
+    if select != "i":
+        raise ValueError(f"only select='i' is supported: got {select!r}")
+    if _lapack is None:
+        _lapack = _load_lapack()
+    stebz, stein = _lapack
+    first, last = select_range
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, first + 1, last + 1, tol, "B")
+    _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
+    w = w[:m]
+    v, info = stein(d, e, w, iblock, isplit)
+    _check_info(info, "stein", "%d eigenvectors failed to converge")
+    order = np.argsort(w)
+    return w[order], v[:, order]
 
 
 def _lowest_eigenpairs(

@@ -145,6 +145,18 @@ class DerivedParams:
     j: float
 
 
+def _square_of(name: str, value: float) -> float:
+    """``value**2`` of a Python float; ``OverflowError`` naming ``name`` and its value.
+
+    Python's float ``**`` raises where the square leaves the float range,
+    with only ``(34, 'Numerical result out of range')`` for a message.
+    """
+    try:
+        return value**2
+    except OverflowError:
+        raise OverflowError(f"the square of {name} = {value!r} leaves the float range") from None
+
+
 def _derived(f, beta2) -> tuple:
     """(iota, omega, j), elementwise, from the fields ``f`` by name; ``beta2`` is beta**2."""
     iota = f["ell"] - f["flux"] - f["beta"] * f["k"]
@@ -172,7 +184,7 @@ def spectral_to_energy(p: PhysicalParams, spectral: float) -> float:
     non-finite energy.
     """
     value = float(spectral)
-    energy = _energy(vars(p), p.k**2, value, derive_params(p).iota)
+    energy = _energy(vars(p), _square_of("k", p.k), value, derive_params(p).iota)
     if math.isfinite(value) and not math.isfinite(energy):
         raise OverflowError(f"the energy at spectral value {value!r} leaves the float range")
     return energy

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .operators import transformed_lhs
-from .params import PhysicalParams, derive_params
+from .params import PhysicalParams, _square_of, derive_params
 
 __all__ = [
     "SeriesSolution",
@@ -123,7 +123,7 @@ def series_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> Ser
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1: got {n_terms}")
     d = derive_params(p)
-    iota2, scaled = d.iota**2, spectral * p.beta**2
+    iota2, scaled = _square_of("iota", d.iota), spectral * p.beta**2
     c = np.empty(n_terms + 1)
     c[0] = 1.0
     c[1] = _seed(iota2, d.j, d.omega, scaled)

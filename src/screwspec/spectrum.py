@@ -50,7 +50,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import Model, PhysicalParams, _derived, _energy, derive_params, spectral_to_energy
+from .params import (
+    Model,
+    PhysicalParams,
+    _derived,
+    _energy,
+    _square_of,
+    derive_params,
+    spectral_to_energy,
+)
 from .series import SeriesSolution, _seed, _triple
 
 __all__ = [
@@ -213,7 +221,7 @@ def lambda_polynomials(p: PhysicalParams, n_max: int) -> LambdaPolynomialTable:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1: got {n_max}")
     d = derive_params(p)
-    table, _ = _table(d.iota**2, d.j, d.omega, p.beta**2, n_max)
+    table, _ = _table(_square_of("iota", d.iota), d.j, d.omega, p.beta**2, n_max)
     return LambdaPolynomialTable(entries=tuple(table))
 
 
@@ -513,10 +521,10 @@ def n1_levels(
         first = int(fault.argmax())
         q = p if parameter is None else dataclasses.replace(p, **{parameter: values[first]})
         if method == "closed-form":
-            # the scalar steps, in order: Python's float ** on the squares, the
-            # discriminant, then the polynomial table and each level's numbers
-            derive_params(q).iota ** 2
-            _closed_form_rate(vars(q)) ** 2
+            # the scalar steps, in order: the squares, the discriminant, then
+            # the polynomial table and each level's numbers
+            _square_of("iota", derive_params(q).iota)
+            _square_of("the closed-form rate mass * omega0 * beta", _closed_form_rate(vars(q)))
             _checked_discriminant(float(disc[first]))
             table = lambda_polynomials(q, 3).entries
             for value in spectral[present[:, first], first].tolist():

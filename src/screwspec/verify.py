@@ -185,7 +185,8 @@ def _random_params_with_closed_form(
 # a check's (status, measured, detail)
 Outcome = tuple[str, float | None, str]
 
-Measurement = Callable[[np.random.Generator, bool, float], Outcome]
+# a string: evaluating np.random here would load it with every import screwspec
+Measurement = Callable[["np.random.Generator", bool, float], Outcome]
 
 
 def _check(name: str, tolerance: float) -> Callable[[Measurement], Callable[..., CheckResult]]:

@@ -223,6 +223,28 @@ class TestOverflow:
         assert payload["error"] == "invalid-input"
         assert "overflow" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "argv, quantity",
+        [
+            # at k = 3.33e299, iota = ell - flux - beta k = -1.67e299
+            (["sweep", *OSC_ARGS, "--param", "k", "--from", "1", "--to", "1e300", "--steps", "4"],
+             "iota = -1.6666666666666668e+299"),
+            # at beta 1e-10 iota stays small, and the energy's k**2 overflows
+            (["energy", *OSC_ARGS, "--beta", "1e-10", "--k", "1e160"], "k = 1e+160"),
+            (["energy", *OSC_ARGS, "--mass", "1e160"],
+             "the closed-form rate mass * omega0 * beta = 1e+160"),
+        ],
+        ids=["sweep-iota", "energy-k", "energy-rate"],
+    )
+    def test_an_overflowing_square_names_its_quantity(self, capsys, argv, quantity):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "invalid-input",
+            "message": f"overflow at these parameters: the square of {quantity} "
+                       "leaves the float range",
+        }
+
 
 class TestErrorContract:
     """Every failure ``main`` maps: its exit status and one JSON line on stderr.

@@ -61,7 +61,15 @@ COLD_START = textwrap.dedent(
     import contextlib, io, sys
     import screwspec, screwspec.cli
 
-    assert "scipy" not in sys.modules, "import screwspec loaded scipy"
+    def loaded(package):
+        return [m for m in sys.modules if m == package or m.startswith(package + ".")]
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert screwspec.cli.main(argv) == 0, argv
+
+    assert loaded("scipy") == [], "import screwspec loaded scipy"
+    assert loaded("numpy.random") == [], "import screwspec loaded numpy.random"
     point = ["--omega0", "2", "--beta", "0.5", "--k", "0.5", "--ell", "2", "--flux", "0.75"]
     commands = [
         ["energy", *point],
@@ -69,21 +77,52 @@ COLD_START = textwrap.dedent(
         ["wavefunction", *point, "--branch", "minus", "--samples", "400"],
     ]
     for argv in commands:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert screwspec.cli.main(argv) == 0, argv
-        assert "scipy" not in sys.modules, argv[0] + " loaded scipy"
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert screwspec.cli.main(["oracle", "--mode", "flat", *point]) == 0
-    assert "scipy.linalg" in sys.modules, "the oracle solved without scipy"
+        run(argv)
+        assert loaded("scipy") == [], argv[0] + " loaded scipy"
+        assert loaded("numpy.random") == [], argv[0] + " loaded numpy.random"
+    run(["oracle", "--mode", "flat", *point])
+    assert loaded("numpy.random") == [], "oracle loaded numpy.random"
+    run(["verify", "--fast"])
+    assert loaded("scipy.linalg") == [], "the oracle imported scipy.linalg"
+    """
+)
+
+# the oracle solves with scipy's dstebz and dstein, and the import of
+# scipy.linalg that would give them to it must not change their output
+SOLVE_THEN_IMPORT = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    import screwspec.oracle as oracle
+
+    rng = np.random.default_rng(20261019)
+    d, e = rng.normal(size=300), rng.normal(size=299)
+    select = dict(select="i", select_range=(0, 4))
+    first = oracle.eigh_tridiagonal(d, e, tol=0.0, **select)
+    assert "scipy.linalg" not in sys.modules
+    from scipy.linalg import eigh_tridiagonal
+
+    for solve in (eigh_tridiagonal, oracle.eigh_tridiagonal):
+        again = solve(d, e, tol=0.0, **select)
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in first], solve
     """
 )
 
 
-def test_only_the_oracle_loads_scipy():
-    # scipy.linalg more than doubles the start-up of the commands that need numpy alone
+def run_fresh(code):
     path = [str(pathlib.Path(screwspec.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
-        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_only_the_oracle_loads_scipy():
+    # scipy.linalg more than doubles the start-up of a command that loads it,
+    # and numpy.random is for verify's draws alone
+    run_fresh(COLD_START)
+
+
+def test_scipy_linalg_imported_after_a_solve_agrees():
+    run_fresh(SOLVE_THEN_IMPORT)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from scipy.linalg import eigh_tridiagonal
 
 from screwspec import (
@@ -463,6 +464,84 @@ class TestEigensolve:
         values, _ = oracle_mod._lowest_eigenpairs(diag, off, 5, tau)
         assert tols == [tau, 0.0]
         assert values.tobytes() == default_bisection_eigenpairs(diag, off, 5)[0].tobytes()
+
+
+def same(ours, theirs):
+    """Equal bit for bit, in dtype and shape as well as in bytes."""
+    return all(
+        (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for a, b in zip(ours, theirs, strict=True)
+    )
+
+
+class TestLapack:
+    """``oracle.eigh_tridiagonal`` calls LAPACK as ``scipy.linalg.eigh_tridiagonal`` does."""
+
+    @staticmethod
+    def solves(diag, off, n_eigs, tol):
+        select = dict(select="i", select_range=(0, n_eigs - 1))
+        return (
+            oracle_mod.eigh_tridiagonal(diag, off, tol=tol, **select),
+            eigh_tridiagonal(diag, off, tol=tol, **select),
+        )
+
+    def test_equal_to_scipy_on_the_seeded_grids(self):
+        for p, grid in seeded_grids():
+            h, diag, _ = oracle_mod._assemble(p, grid)
+            off = np.full(grid.n_points - 1, -1.0 / h**2)
+            tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / (
+                grid.r_max - grid.r_min) ** 2
+            for tol in (0.0, tau):
+                assert same(*self.solves(diag, off, 5, tol)), (p, grid, tol)
+
+    def test_equal_to_scipy_on_random_tridiagonals(self):
+        # some with zeros off the diagonal: the matrix splits into blocks, and
+        # dstebz returns the values block by block until they are sorted
+        rng = np.random.default_rng(20261019)
+        for _ in range(100):
+            n = int(rng.integers(64, 2000))
+            diag = rng.normal(size=n) * 10.0 ** rng.uniform(0, 4)
+            off = rng.normal(size=n - 1)
+            if rng.random() < 0.3:
+                off[rng.random(n - 1) < 0.01] = 0.0
+            n_eigs = int(rng.integers(1, 20))
+            tau = 1e-3 * (diag.max() - diag.min()) / n
+            for tol in (0.0, tau):
+                assert same(*self.solves(diag, off, n_eigs, tol)), (n, n_eigs, tol)
+
+    @pytest.mark.parametrize(
+        "routine, info, error, message",
+        [
+            ("stebz", 3, LinAlgError, "stebz (eigh_tridiagonal) did not converge (LAPACK info=3)"),
+            ("stein", 2, LinAlgError, "stein (eigh_tridiagonal) 2 eigenvectors failed to converge"),
+            ("stebz", -4, ValueError,
+             "illegal value in argument 4 of internal stebz (eigh_tridiagonal)"),
+            ("stein", -1, ValueError,
+             "illegal value in argument 1 of internal stein (eigh_tridiagonal)"),
+        ],
+    )
+    def test_a_failed_routine_raises_scipys_error(self, monkeypatch, routine, info, error, message):
+        diag, off = np.arange(64.0), np.full(63, -1.0)
+        select = dict(select="i", select_range=(0, 4))
+        oracle_mod.eigh_tridiagonal(diag, off, tol=0.0, **select)  # loads the routines
+        routines = dict(zip(("stebz", "stein"), oracle_mod._lapack))
+        real = routines[routine]
+
+        def failing(*args):
+            *out, _ = real(*args)
+            return (*out, info)
+
+        routines[routine] = failing
+        monkeypatch.setattr(oracle_mod, "_lapack", (routines["stebz"], routines["stein"]))
+        with pytest.raises(error) as got:
+            oracle_mod.eigh_tridiagonal(diag, off, tol=0.0, **select)
+        assert str(got.value) == message
+
+    def test_only_selection_by_index(self):
+        with pytest.raises(ValueError, match="only select='i'"):
+            oracle_mod.eigh_tridiagonal(
+                np.arange(64.0), np.full(63, -1.0), tol=0.0, select="v", select_range=(0, 1)
+            )
 
 
 class TestReport:
