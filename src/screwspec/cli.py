@@ -22,8 +22,10 @@ grid-too-coarse    1     a finite-difference grid fails the residual gate
 no-real-level      2     no real level at these parameters (a negative
                          closed-form discriminant also gives
                          ``"discriminant"``)
-truncation-failed  3     the truncation order is too high for its roots to
-                         be trusted
+truncation-failed  3     the roots of c_{n+1} cannot be trusted: at any
+                         order where its top coefficient is so small that
+                         its companion matrix leaves the float range (n = 1
+                         with ``energy --gamma 5e307 --method truncation``)
 =================  ====  ==================================================
 
 Success is exit 0.  ``verify`` also exits 1 when a check fails; its report

@@ -15,19 +15,21 @@ with b = beta on the outer and core grids.  The flat grid is the same
 problem at b = 0, where iota = ell - flux: the beta -> 0 limit, whose
 oscillator spectrum is known exactly.  U is discretised on a uniform
 grid with Dirichlet ends.  The lowest eigenpairs of the tridiagonal
-matrix come from Sturm-sequence bisection and inverse iteration
-(LAPACK ``stebz`` and ``stein``).  Bisection only
-has to place each eigenvalue well inside its gap for ``stein`` to
-resolve the vector, so it stops at tau, a thousandth of 3 pi^2 / L^2 on
-a grid of length L: the fundamental gap of a convex potential on an
-interval of that length (Andrews & Clutterbuck, JAMS 24, 2011).  Each
-eigenvalue is then the Rayleigh quotient of its vector, whose error is
-second order in the vector's: closer than bisection to full precision,
-whose error scales with the norm of the matrix, about 4 / h^2.  Where
-two bisection values lie within tau of each other, or a quotient lands
-more than tau from its bisection value, ``stein`` may not have
-separated the vectors, and the solve is redone with bisection to full
-precision.
+matrix come from Sturm-sequence bisection and inverse iteration (LAPACK
+``stebz`` and ``stein``): ``eigh_tridiagonal(d, e, n_eigs, tol=tol)``
+returns the lowest ``n_eigs`` pairs, as scipy's
+``eigh_tridiagonal(select="i", select_range=(0, n_eigs - 1))`` computes
+them.  Bisection only has to place each eigenvalue well inside its gap
+for ``stein`` to resolve the vector, so it stops at tau, a thousandth of
+3 pi^2 / L^2 on a grid of length L: the fundamental gap of a convex
+potential on an interval of that length (Andrews & Clutterbuck, JAMS 24,
+2011).  Each eigenvalue is then the Rayleigh quotient of its vector,
+whose error is second order in the vector's: closer than bisection to
+full precision, whose error scales with the norm of the matrix, about
+4 / h^2.  Where two bisection values lie within tau of each other, or a
+quotient lands more than tau from its bisection value, ``stein`` may not
+have separated the vectors, and the solve is redone with bisection to
+full precision.
 
 Near r = 0 the potential behaves like c0 / r^2, with c0 = 2 mass gamma
 plus, at b = 0, iota^2 - 1/4.  For c0 close to the critical value -1/4
@@ -56,6 +58,7 @@ and the commands that never reach the oracle (``energy``, ``sweep``,
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -89,9 +92,6 @@ RESIDUAL_TRIM = 0.05
 
 # bisection tolerance as a fraction of the gap bound 3 pi^2 / L^2
 BISECTION_GAP_FRACTION = 1e-3
-
-# (dstebz, dstein), loaded by the first solve
-_lapack: tuple | None = None
 
 
 class GridMode(str, Enum):
@@ -259,13 +259,15 @@ def _residual_norms(
     return norms
 
 
-def _load_lapack() -> tuple:
+@functools.cache
+def _lapack() -> tuple:
     """LAPACK ``dstebz`` and ``dstein`` from scipy's compiled ``_flapack`` extension.
 
-    These are the functions ``scipy.linalg.lapack`` exports.  ``import
-    scipy`` runs the package's own ``__init__`` alone, which sets up the
-    libraries scipy bundles; the extension is then loaded from its file
-    under a private name, so ``scipy/linalg/__init__.py`` never runs.
+    These are the functions ``scipy.linalg.lapack`` exports, loaded by
+    the first call and kept.  ``import scipy`` runs the package's own
+    ``__init__`` alone, which sets up the libraries scipy bundles; the
+    extension is then loaded from its file under a private name, so
+    ``scipy/linalg/__init__.py`` never runs.
     """
     import scipy
 
@@ -287,26 +289,21 @@ def _check_info(info: int, routine: str, failure: str) -> None:
         raise LinAlgError(f"{driver} {failure % info}")
 
 
-def eigh_tridiagonal(d, e, *, tol, select, select_range):
-    """Eigenpairs ``select_range`` (from 0, both ends in) of the symmetric tridiagonal (d, e).
+def eigh_tridiagonal(d, e, n_eigs, *, tol):
+    """Lowest ``n_eigs`` eigenpairs of the symmetric tridiagonal (d, e).
 
-    :func:`scipy.linalg.eigh_tridiagonal` with ``select="i"``, call for
-    call as its ``stebz`` branch: ``dstebz`` bisects to ``tol`` (0 for
-    ulp * ||T||) in block order, ``dstein`` takes each vector by inverse
-    iteration, the pairs are sorted by value, and a non-zero LAPACK
-    ``info`` raises scipy's error.  ``d`` and ``e`` must be finite.  The
-    routines are loaded on the first call.  ``oracle_eigenvalues`` looks
-    this name up when it runs, so a profiler can replace it on the module
-    to time the eigensolve alone.
+    The pairs :func:`scipy.linalg.eigh_tridiagonal` computes with
+    ``select="i", select_range=(0, n_eigs - 1)``, call for call as its
+    ``stebz`` branch: ``dstebz`` bisects to ``tol`` (0 for ulp * ||T||)
+    in block order, ``dstein`` takes each vector by inverse iteration,
+    the pairs are sorted by value, and a non-zero LAPACK ``info`` raises
+    scipy's error.  ``d`` and ``e`` must be finite.  The routines are
+    loaded on the first call.  ``oracle_eigenvalues`` looks this name up
+    when it runs, so a profiler can replace it on the module to time the
+    eigensolve alone.
     """
-    global _lapack
-    if select != "i":
-        raise ValueError(f"only select='i' is supported: got {select!r}")
-    if _lapack is None:
-        _lapack = _load_lapack()
-    stebz, stein = _lapack
-    first, last = select_range
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, first + 1, last + 1, tol, "B")
+    stebz, stein = _lapack()
+    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, n_eigs, tol, "B")
     _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
     w = w[:m]
     v, info = stein(d, e, w, iblock, isplit)
@@ -332,8 +329,7 @@ def _lowest_eigenpairs(
     means ``stein`` did not separate them; either way the pairs are
     recomputed with bisection to full precision.
     """
-    select = dict(select="i", select_range=(0, n_eigs - 1))
-    values, vectors = eigh_tridiagonal(diag, off, tol=tol, **select)
+    values, vectors = eigh_tridiagonal(diag, off, n_eigs, tol=tol)
     rows = diag.copy()
     rows[:-1] += off
     rows[1:] += off
@@ -345,7 +341,7 @@ def _lowest_eigenpairs(
         quotients[jcol] = (np.sum(rows * weight) - np.sum(off * step**2)) / np.sum(weight)
     if np.all(np.diff(values) > tol) and np.all(np.abs(quotients - values) <= tol):
         return quotients, vectors
-    return eigh_tridiagonal(diag, off, tol=0.0, **select)
+    return eigh_tridiagonal(diag, off, n_eigs, tol=0.0)
 
 
 def oracle_eigenvalues(

@@ -107,8 +107,13 @@ class TruncationError(RuntimeError):
     Raised when a coefficient of the polynomial table underflows so that
     c_i loses its degree, when the companion matrix is not finite or its
     eigenvalues do not converge, and when a polished root fails the
-    backward-error bound.  All three happen at high order (n >= ~70 at
-    ordinary parameters).
+    backward-error bound.  None of them is tied to high order: the
+    companion matrix leaves the float range at any order where the top
+    coefficient of c_{n+1} is small enough against the others, from
+    n = 75 on at omega0 = 2, beta = 0.5, k = 0.5, ell = 2, flux = 0.75,
+    and at n = 1 with ``screwspec energy --gamma 5e307 --method
+    truncation``, where c_2 = 0.1953 - 2.34e-156 s + 1.95e-311 s^2 in
+    the spectral parameter s.
     """
 
 
@@ -159,10 +164,6 @@ class LambdaPolynomialTable:
     """
 
     entries: tuple[list[float], ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.entries) - 1
 
     def entry(self, i: int) -> np.ndarray:
         return np.array(self.entries[i])

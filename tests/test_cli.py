@@ -1,5 +1,8 @@
+import errno
 import json
 import math
+import os
+import pathlib
 
 import pytest
 from cli_golden import GOLDEN_PATH
@@ -266,6 +269,8 @@ class TestErrorContract:
             (["energy", *NO_TRUNCATION_ROOT], 2, "no-real-level"),
             (["wavefunction", *NO_TRUNCATION_ROOT], 2, "no-real-level"),
             (["energy", *OSC_ARGS, "--method", "truncation", "--n", "80"], 3, "truncation-failed"),
+            # at n = 1 too: c_2's companion entry -c_0 / c_2 is about -1e310
+            (["energy", "--gamma", "5e307", "--method", "truncation"], 3, "truncation-failed"),
             (["oracle", *OSC_ARGS, "--neigs", "3", "--points", "3000"], 1, "grid-too-coarse"),
             # NaN residual norms, which the gate once let through
             (["oracle", *OSC_ARGS, "--flux", "1e80", "--mode", "outer"], 1, "invalid-input"),
@@ -275,7 +280,8 @@ class TestErrorContract:
             "argparse", "invalid-value", "out-missing-dir", "out-is-dir",
             "gnuplot-missing-dir", "verify-out-missing-dir", "energy-discriminant",
             "wavefunction-discriminant", "energy-no-root", "wavefunction-no-root",
-            "truncation-failed", "grid-too-coarse", "outer-residual-nan", "core-residual-nan",
+            "truncation-failed", "truncation-failed-at-n1", "grid-too-coarse",
+            "outer-residual-nan", "core-residual-nan",
         ],
     )
     def test_failure_is_one_json_line(self, capsys, tmp_path, argv, status, error):
@@ -297,6 +303,20 @@ class TestErrorContract:
         _, out, err = run(["energy", *OSC_ARGS, "--out", str(target)], capsys)
         assert out == ""
         assert json.loads(err)["message"] == f"cannot write {target}: {reason}"
+
+    def test_a_write_refused_only_when_written_is_named(self, capsys, tmp_path, monkeypatch):
+        # file modes cannot refuse a write to a process running as root
+        def refused(self, text):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(pathlib.Path, "write_text", refused)
+        target = tmp_path / "levels.json"
+        code, out, err = run(["energy", *OSC_ARGS, "--out", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "invalid-input", "message": f"cannot write {target}: Permission denied",
+        }
 
     def test_unwritable_path_is_refused_before_any_work(self, capsys, tmp_path, monkeypatch):
         import screwspec.cli as cli_mod
@@ -391,6 +411,12 @@ class TestPerCommandFlags:
         code, out, _ = run(["verify", "--fast", "--seed", "3", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["overall"] == "PASS"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["energy", "--help"]], ids=["main", "energy"])
+    def test_help_is_exit_0(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ")
 
 
 class TestOutFile:

@@ -479,10 +479,9 @@ class TestLapack:
 
     @staticmethod
     def solves(diag, off, n_eigs, tol):
-        select = dict(select="i", select_range=(0, n_eigs - 1))
         return (
-            oracle_mod.eigh_tridiagonal(diag, off, tol=tol, **select),
-            eigh_tridiagonal(diag, off, tol=tol, **select),
+            oracle_mod.eigh_tridiagonal(diag, off, n_eigs, tol=tol),
+            eigh_tridiagonal(diag, off, tol=tol, select="i", select_range=(0, n_eigs - 1)),
         )
 
     def test_equal_to_scipy_on_the_seeded_grids(self):
@@ -522,9 +521,7 @@ class TestLapack:
     )
     def test_a_failed_routine_raises_scipys_error(self, monkeypatch, routine, info, error, message):
         diag, off = np.arange(64.0), np.full(63, -1.0)
-        select = dict(select="i", select_range=(0, 4))
-        oracle_mod.eigh_tridiagonal(diag, off, tol=0.0, **select)  # loads the routines
-        routines = dict(zip(("stebz", "stein"), oracle_mod._lapack))
+        routines = dict(zip(("stebz", "stein"), oracle_mod._lapack()))
         real = routines[routine]
 
         def failing(*args):
@@ -532,16 +529,10 @@ class TestLapack:
             return (*out, info)
 
         routines[routine] = failing
-        monkeypatch.setattr(oracle_mod, "_lapack", (routines["stebz"], routines["stein"]))
+        monkeypatch.setattr(oracle_mod, "_lapack", lambda: tuple(routines.values()))
         with pytest.raises(error) as got:
-            oracle_mod.eigh_tridiagonal(diag, off, tol=0.0, **select)
+            oracle_mod.eigh_tridiagonal(diag, off, 5, tol=0.0)
         assert str(got.value) == message
-
-    def test_only_selection_by_index(self):
-        with pytest.raises(ValueError, match="only select='i'"):
-            oracle_mod.eigh_tridiagonal(
-                np.arange(64.0), np.full(63, -1.0), tol=0.0, select="v", select_range=(0, 1)
-            )
 
 
 class TestReport:

@@ -91,6 +91,10 @@ class TestRecurrence:
             series_coefficients(P_OSC, 1e160, 50)
         assert exc.value.index >= 2
 
+    def test_at_least_one_term(self):
+        with pytest.raises(ValueError, match="n_terms must be >= 1"):
+            series_coefficients(P_OSC, 3.7, 0)
+
 
 class TestEvaluation:
     def test_prefactor_only(self):

@@ -26,6 +26,7 @@ from screwspec.series import _seed, _triple
 from screwspec.spectrum import (
     TruncationError,
     _companions,
+    _real_roots,
     _table,
     closed_form_discriminant,
     n1_levels,
@@ -84,9 +85,11 @@ def quadratic_truncation_oracle(p):
 class TestPolynomialTable:
     def test_degrees(self):
         table = lambda_polynomials(P_OSC, 6)
-        assert table.n_max == 6
+        assert len(table.entries) == 7
         for i in range(7):
             assert len(table.entry(i)) == i + 1
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            lambda_polynomials(P_OSC, 0)
 
     def test_matches_numeric_recurrence(self):
         rng = np.random.default_rng(5)
@@ -174,6 +177,10 @@ class TestTruncation:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError, match="truncation order"):
             truncation_solve(P_OSC, 0)
+
+    def test_newton_stops_where_the_derivative_vanishes(self):
+        # the double root of s^2: the seed 0 is exact, and p'(0) = 0
+        assert _real_roots([0.0, 0.0, 1.0]) == [0.0]
 
 
 class TestClosedForm:

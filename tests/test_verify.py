@@ -8,7 +8,14 @@ from verify_golden import GOLDEN_PATH, record
 from verify_golden import cases as golden_cases
 
 import screwspec.verify as verify
-from screwspec import Model, PhysicalParams, gaussian_probe, run_verification
+from screwspec import (
+    Model,
+    PhysicalParams,
+    gaussian_probe,
+    radial_lhs,
+    run_verification,
+    transformed_lhs,
+)
 from screwspec.verify import CHECKS, CheckResult, changeofvar_consistency, separation_residual
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -48,6 +55,23 @@ class TestChangeOfVariable:
         probe = gaussian_probe(width=0.6, center=0.4)
         with pytest.raises(ValueError, match="positive"):
             changeofvar_consistency(P_OSC, 3.7, probe, 0.0)
+
+
+class TestOperators:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: gaussian_probe(width=0.0), "width must be positive"),
+            (lambda: radial_lhs(P_OSC, 3.7, 0.0, 1.0, 0.0, 0.0), "r must be positive"),
+            (lambda: radial_lhs(P_OSC, 3.7, P_OSC.beta, 1.0, 0.0, 0.0), "r must differ from beta"),
+            (lambda: transformed_lhs(P_OSC, 3.7, 0.0, 1.0, 0.0, 0.0), "x must be positive"),
+            (lambda: transformed_lhs(P_OSC, 3.7, 1.0, 1.0, 0.0, 0.0), "x must differ from 1"),
+        ],
+        ids=["probe-width", "r-zero", "r-beta", "x-zero", "x-one"],
+    )
+    def test_singular_inputs_are_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestSeparation:
@@ -133,3 +157,5 @@ class TestChecks:
         assert [c.name for c in report.checks] == CHECK_NAMES
         assert all(c.status != "FAIL" and c.measured is not None for c in report.checks[1:])
         assert report.overall_pass is False
+        with pytest.raises(KeyError):
+            report.check("no-such-check")
