@@ -70,7 +70,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .params import InvalidParameterError, Model, PhysicalParams
+from .params import InvalidParameterError, Model, PhysicalParams, _require_int
 
 __all__ = [
     "GridMode",
@@ -132,9 +132,7 @@ class GridSpec:
             object.__setattr__(self, "mode", GridMode(self.mode))
         except ValueError:
             raise InvalidParameterError(f"unknown grid mode {self.mode!r}") from None
-        if isinstance(self.n_points, bool) or not isinstance(self.n_points, (int, np.integer)):
-            raise InvalidParameterError(f"n_points must be an integer: got {self.n_points!r}")
-        object.__setattr__(self, "n_points", int(self.n_points))
+        object.__setattr__(self, "n_points", _require_int("n_points", self.n_points))
         if self.n_points < 64:
             raise InvalidParameterError(
                 f"n_points must be at least 64: got {self.n_points}"
@@ -361,6 +359,7 @@ def oracle_eigenvalues(
     """
     if residual_tol is not None and not residual_tol > 0.0:
         raise InvalidParameterError(f"residual_tol must be positive: got {residual_tol}")
+    n_eigs = _require_int("n_eigs", n_eigs)
     if n_eigs < 1:
         raise InvalidParameterError(f"n_eigs must be >= 1: got {n_eigs}")
     if n_eigs > grid.n_points // 4:

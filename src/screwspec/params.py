@@ -74,6 +74,13 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_int(name: str, value) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer: got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, kw_only=True)
 class PhysicalParams:
     """Validated input parameters.
@@ -83,7 +90,7 @@ class PhysicalParams:
     * ``mass > 0``
     * ``0 < beta < 1``
     * ``k > 0``
-    * ``ell`` is an integer
+    * ``ell`` is an integer, a Python or numpy one, stored as ``int``
     * ``gamma >= 0``
     * ``omega0 > 0`` for the oscillator model, ``omega0 == 0`` otherwise
     * ``delta == 0`` for the inverse-square model
@@ -116,8 +123,7 @@ class PhysicalParams:
             )
         if self.k <= 0:
             raise InvalidParameterError(f"k must be positive: got {self.k}")
-        if isinstance(self.ell, bool) or not isinstance(self.ell, int):
-            raise InvalidParameterError(f"ell must be an integer: got {self.ell!r}")
+        object.__setattr__(self, "ell", _require_int("ell", self.ell))
         if self.gamma < 0:
             raise InvalidParameterError(f"gamma must be non-negative: got {self.gamma}")
         if self.model is Model.OSCILLATOR:

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .operators import transformed_lhs
-from .params import PhysicalParams, _square_of, derive_params
+from .params import PhysicalParams, _require_int, _square_of, derive_params
 
 __all__ = [
     "SeriesSolution",
@@ -120,6 +120,7 @@ def series_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> Ser
     Raises :class:`SeriesOverflowError` if a coefficient leaves the
     representable range before ``n_terms`` is reached.
     """
+    n_terms = _require_int("n_terms", n_terms)
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1: got {n_terms}")
     d = derive_params(p)

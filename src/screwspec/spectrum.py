@@ -55,6 +55,7 @@ from .params import (
     PhysicalParams,
     _derived,
     _energy,
+    _require_int,
     _square_of,
     derive_params,
     spectral_to_energy,
@@ -219,6 +220,7 @@ def lambda_polynomials(p: PhysicalParams, n_max: int) -> LambdaPolynomialTable:
     P = spectral * beta^2, so each c_i is a polynomial of degree i; the
     recurrence is run once on coefficient lists instead of numbers.
     """
+    n_max = _require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1: got {n_max}")
     d = derive_params(p)
@@ -325,6 +327,7 @@ def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
     monomial table and companion roots, and ``OverflowError`` where a
     square, the n = 1 discriminant or a level's numbers overflow.
     """
+    n = _require_int("truncation order", n)
     if n < 1:
         raise ValueError(f"truncation order must be >= 1: got {n}")
     table = lambda_polynomials(p, n + 2).entries
@@ -625,9 +628,7 @@ def level_series(p: PhysicalParams, level: EnergyLevel) -> SeriesSolution:
 
 
 # the columns of levels_to_json and levels_to_csv, in order
-_LEVEL_FIELDS = (
-    "n", "ell", "branch", "energy", "spectral", "discriminant", "termination_defect", "c1_over_c0"
-)
+_LEVEL_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyLevel))
 
 
 def _level_values(lv: EnergyLevel) -> list:

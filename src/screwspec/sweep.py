@@ -28,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .params import InvalidParameterError, PhysicalParams
+from .params import InvalidParameterError, PhysicalParams, _require_int
 from .spectrum import n1_levels
 
 __all__ = [
@@ -64,9 +64,7 @@ class SweepSpec:
             raise InvalidParameterError(
                 f"cannot sweep {self.parameter!r}; choose one of {SWEEPABLE_PARAMETERS}"
             )
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
-            raise InvalidParameterError(f"steps must be an integer: got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", _require_int("steps", self.steps))
         if self.steps < 2:
             raise InvalidParameterError(f"steps must be >= 2: got {self.steps}")
         if not all(isinstance(v, numbers.Real) and math.isfinite(v)

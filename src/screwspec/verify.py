@@ -15,7 +15,8 @@ Randomised checks draw from a seeded generator, so a report is exactly
 reproducible from its ``seed`` field.
 
 A check is one function of plain floats, decorated with its name and
-tolerance and listed in :data:`CHECKS`::
+tolerance; the decorator adds it to :data:`CHECKS`, which runs the checks
+in the order they are defined::
 
     @_check("my-check", 1e-10)
     def check_mine(rng, fast, tol) -> Outcome:
@@ -24,7 +25,8 @@ tolerance and listed in :data:`CHECKS`::
 
 The decorator makes it ``check_mine(rng, fast=False) -> CheckResult``:
 it times the measurement and reports an exception as FAIL with measured
-None.
+None.  A check decorated after the module is imported stays out of
+:data:`CHECKS`.
 
 The audits have no other caller, so they live here rather than in the
 modules they audit: the alternate recurrence denominator, the closed-form
@@ -51,7 +53,9 @@ import numpy as np
 
 from .operators import Probe, gaussian_probe, radial_lhs, transformed_lhs
 from .oracle import GridMode, GridSpec, flat_exact_spectrum, oracle_eigenvalues
-from .params import Model, PhysicalParams, derive_params, spectral_to_energy
+from .params import (
+    InvalidParameterError, Model, PhysicalParams, _require_int, derive_params, spectral_to_energy
+)
 from .series import (
     OVERFLOW_LIMIT,
     SeriesOverflowError,
@@ -97,17 +101,17 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """All check outcomes plus the overall verdict.
-
-    ``overall_pass`` is True iff no check FAILed; DISCREPANT-DOCUMENTED
-    findings do not fail the suite.
-    """
+    """All check outcomes, from which :attr:`overall_pass` follows."""
 
     checks: tuple[CheckResult, ...]
-    overall_pass: bool
     wall_time_s: float
     seed: int
     fast: bool
+
+    @property
+    def overall_pass(self) -> bool:
+        """True iff no check FAILed; DISCREPANT-DOCUMENTED findings do not fail the suite."""
+        return all(c.status != "FAIL" for c in self.checks)
 
     def to_text(self) -> str:
         mode = "fast" if self.fast else "full"
@@ -189,6 +193,10 @@ Outcome = tuple[str, float | None, str]
 Measurement = Callable[["np.random.Generator", bool, float], Outcome]
 
 
+# every check decorated so far, in definition order; CHECKS is this list at the end of import
+_decorated: list[Callable[..., CheckResult]] = []
+
+
 def _check(name: str, tolerance: float) -> Callable[[Measurement], Callable[..., CheckResult]]:
     """Make ``measure(rng, fast, tol) -> Outcome`` a named check; see the module docstring."""
 
@@ -209,22 +217,31 @@ def _check(name: str, tolerance: float) -> Callable[[Measurement], Callable[...,
                 elapsed_s=time.perf_counter() - start,
             )
 
+        _decorated.append(check)
         return check
 
     return decorate
+
+
+def _worst_series_residual(
+    rng: np.random.Generator, draws: int, coefficients: Callable[..., SeriesSolution]
+) -> float:
+    """Worst transformed-operator residual of ``coefficients`` over ``draws`` draws per model."""
+    worst = 0.0
+    for model in Model:
+        for _ in range(draws):
+            p = _random_params(rng, model)
+            s = float(rng.uniform(-10.0, 10.0))
+            sol = coefficients(p, s, SERIES_TERMS)
+            worst = max(worst, series_residual(sol, p, s, RESIDUAL_POINTS))
+    return worst
 
 
 @_check("series-residual", 1e-9)
 def check_series_residual(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Transformed-operator residual of the N=200 series, both models."""
     draws = 10 if fast else 50
-    worst = 0.0
-    for model in Model:
-        for _ in range(draws):
-            p = _random_params(rng, model)
-            s = float(rng.uniform(-10.0, 10.0))
-            sol = series_coefficients(p, s, SERIES_TERMS)
-            worst = max(worst, series_residual(sol, p, s, RESIDUAL_POINTS))
+    worst = _worst_series_residual(rng, draws, series_coefficients)
     status = "PASS" if worst <= tol else "FAIL"
     return status, worst, f"{2 * draws} parameter draws, {SERIES_TERMS} terms"
 
@@ -249,14 +266,7 @@ def _alternate_coefficients(p: PhysicalParams, spectral: float, n_terms: int) ->
 @_check("series-residual-alternate-denominator", 1e-9)
 def check_series_residual_alternate(rng: np.random.Generator, fast: bool, tol: float) -> Outcome:
     """Audit of the alternate recurrence denominator (expected to disagree)."""
-    draws = 5 if fast else 10
-    worst = 0.0
-    for model in Model:
-        for _ in range(draws):
-            p = _random_params(rng, model)
-            s = float(rng.uniform(-10.0, 10.0))
-            sol = _alternate_coefficients(p, s, SERIES_TERMS)
-            worst = max(worst, series_residual(sol, p, s, RESIDUAL_POINTS))
+    worst = _worst_series_residual(rng, 5 if fast else 10, _alternate_coefficients)
     if worst > tol:
         return (
             "DISCREPANT-DOCUMENTED",
@@ -281,12 +291,6 @@ def changeofvar_consistency(
     mismatch (zero to rounding for any twice-differentiable probe).
     Requires ``r > 0`` with ``|r - beta| >= 1e-6``.
     """
-    if r <= 0:
-        raise ValueError(f"r must be positive: got {r}")
-    if abs(r - p.beta) < 1e-6:
-        raise ValueError(
-            f"r = {r} is within 1e-6 of the dislocation radius beta = {p.beta}"
-        )
     x = r**2 / p.beta**2
     fx, dfx, d2fx = probe.f(x), probe.df(x), probe.d2f(x)
     # chain rule: d/dr = (2r/beta^2) d/dx
@@ -345,13 +349,9 @@ def separation_residual(
     reports its levels through.  The two agree identically for every
     spectral value; the returned normalised modulus is rounding noise
     unless the composition iota = ell - flux - beta*k or the energy map
-    is broken somewhere.
+    is broken somewhere.  Requires ``r > 0`` with ``r != beta``.
     """
-    if r <= 0:
-        raise ValueError(f"r must be positive: got {r}")
     g = r * r - p.beta * p.beta
-    if g == 0:
-        raise ValueError(f"r must differ from beta = {p.beta}")
     energy = spectral_to_energy(p, spectral)
     lm = p.ell - p.flux  # the 3-d side keeps its own algebra: it is what the check compares
     f, d1, d2 = probe.f(r), probe.df(r), probe.d2f(r)
@@ -525,7 +525,8 @@ def check_ab_periodicity(rng: np.random.Generator, fast: bool, tol: float) -> Ou
     return status, worst, f"{draws} baselines, nu in (1, 2, 3), both branches"
 
 
-def _flat_params(gamma: float, ell: int) -> PhysicalParams:
+def _unit_params(gamma: float, ell: int, flux: float) -> PhysicalParams:
+    """The oscillator with unit mass, trap and k, at beta = 1/2."""
     return PhysicalParams(
         model=Model.OSCILLATOR,
         mass=1.0,
@@ -534,7 +535,7 @@ def _flat_params(gamma: float, ell: int) -> PhysicalParams:
         beta=0.5,
         k=1.0,
         ell=ell,
-        flux=0.0,
+        flux=flux,
     )
 
 
@@ -547,7 +548,7 @@ def check_flat_oracle(rng: np.random.Generator, fast: bool, tol: float) -> Outco
     ratios: list[float] = []
     for gamma in gammas:
         for ell in ells:
-            p = _flat_params(gamma, ell)
+            p = _unit_params(gamma, ell, 0.0)
             exact = np.array([flat_exact_spectrum(p, i) for i in range(5)])
             fine = oracle_eigenvalues(p, GridSpec.default(GridMode.FLAT, p, 4000), 5)
             coarse = oracle_eigenvalues(
@@ -575,16 +576,7 @@ def check_outer_monotonicity(rng: np.random.Generator, fast: bool, tol: float) -
     gammas = (0.0, 0.5) if fast else (0.0, 0.25, 0.5)
     spectra = []
     for gamma in gammas:
-        p = PhysicalParams(
-            model=Model.OSCILLATOR,
-            mass=1.0,
-            omega0=1.0,
-            gamma=gamma,
-            beta=0.5,
-            k=1.0,
-            ell=1,
-            flux=0.25,
-        )
+        p = _unit_params(gamma, 1, 0.25)
         res = oracle_eigenvalues(p, GridSpec.default(GridMode.OUTER, p, 4000), 5)
         spectra.append(res.eigenvalues)
     worst_drop = 0.0
@@ -630,31 +622,16 @@ def check_rotation_affinity(rng: np.random.Generator, fast: bool, tol: float) ->
     )
 
 
-CHECKS = (
-    check_series_residual,
-    check_series_residual_alternate,
-    check_changeofvar,
-    check_separation,
-    check_truncation,
-    check_closed_form_audit,
-    check_ab_periodicity,
-    check_flat_oracle,
-    check_outer_monotonicity,
-    check_rotation_affinity,
-)
+CHECKS = tuple(_decorated)
 
 
 def run_verification(seed: int = DEFAULT_SEED, fast: bool = False) -> VerifyReport:
     """Run every check with one seeded generator; see module docstring."""
+    seed = _require_int("seed", seed)
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0: got {seed}")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     results = tuple(check(rng, fast) for check in CHECKS)
     wall = time.perf_counter() - start
-    overall = all(c.status != "FAIL" for c in results)
-    return VerifyReport(
-        checks=results,
-        overall_pass=overall,
-        wall_time_s=wall,
-        seed=seed,
-        fast=fast,
-    )
+    return VerifyReport(checks=results, wall_time_s=wall, seed=seed, fast=fast)

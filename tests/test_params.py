@@ -2,14 +2,23 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from screwspec import (
+    GridMode,
+    GridSpec,
     InvalidParameterError,
     Model,
     PhysicalParams,
+    SweepSpec,
     derive_params,
+    lambda_polynomials,
+    oracle_eigenvalues,
+    run_verification,
+    series_coefficients,
     spectral_to_energy,
+    truncation_solve,
 )
 
 
@@ -128,3 +137,36 @@ class TestValidation:
             model="inverse-square", mass=1.0, beta=0.5, k=1.0, ell=0
         )
         assert p.model is Model.INVERSE_SQUARE
+
+
+# every integer count the package takes: (its name in the message, a valid count,
+# a call that returns the count as stored or used)
+COUNT_SITES = {
+    "ell": ("ell", 2, lambda v: osc(ell=v).ell),
+    "steps": ("steps", 3, lambda v: SweepSpec("flux", 0.0, 1.0, v).steps),
+    "n_points": ("n_points", 64, lambda v: GridSpec(GridMode.FLAT, 0.0, 10.0, v).n_points),
+    "truncation_solve": ("truncation order", 2, lambda v: truncation_solve(osc(), v)[0].n),
+    "lambda_polynomials": ("n_max", 2, lambda v: len(lambda_polynomials(osc(), v).entries) - 1),
+    "series_coefficients": (
+        "n_terms", 3, lambda v: len(series_coefficients(osc(), 1.0, v).coeffs) - 1
+    ),
+    "oracle_eigenvalues": (
+        "n_eigs",
+        2,
+        lambda v: oracle_eigenvalues(
+            osc(), GridSpec.default(GridMode.FLAT, osc(), 400), v, residual_tol=None
+        ).eigenvalues.size,
+    ),
+    "run_verification": ("seed", 7, lambda v: run_verification(v, fast=True).seed),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("site", COUNT_SITES)
+    def test_a_python_or_numpy_integer_never_a_bool(self, site):
+        name, count, call = COUNT_SITES[site]
+        stored = call(np.int64(count))
+        assert stored == count and type(stored) is int
+        for bad in (float(count), True):
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer: got"):
+                call(bad)

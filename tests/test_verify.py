@@ -9,6 +9,7 @@ from verify_golden import cases as golden_cases
 
 import screwspec.verify as verify
 from screwspec import (
+    InvalidParameterError,
     Model,
     PhysicalParams,
     gaussian_probe,
@@ -45,11 +46,6 @@ class TestChangeOfVariable:
         for p, value in ((P_OSC, 3.7), (P_INV, -2.0)):
             for r in (0.2, 0.9, 1.3, 2.0):
                 assert changeofvar_consistency(p, value, probe, r) <= 1e-12
-
-    def test_dislocation_radius_excluded(self):
-        probe = gaussian_probe(width=0.6, center=0.4)
-        with pytest.raises(ValueError, match="dislocation radius"):
-            changeofvar_consistency(P_OSC, 3.7, probe, P_OSC.beta + 1e-9)
 
     def test_nonpositive_radius_rejected(self):
         probe = gaussian_probe(width=0.6, center=0.4)
@@ -118,13 +114,6 @@ class TestSeparation:
             )
             assert res <= 1e-12
 
-    def test_singular_radii_rejected(self):
-        probe = gaussian_probe(width=0.8, center=0.9)
-        with pytest.raises(ValueError, match="positive"):
-            separation_residual(P_OSC, 1.0, probe, 0.0)
-        with pytest.raises(ValueError, match="differ"):
-            separation_residual(P_OSC, 1.0, probe, P_OSC.beta)
-
 
 class TestGolden:
     """Reports against ``data/verify_golden.json`` (see ``verify_golden.py``)."""
@@ -144,6 +133,18 @@ class TestChecks:
         assert all(isinstance(r, CheckResult) for r in results)
         assert [r.name for r in results] == CHECK_NAMES
         assert len(CHECKS) == 10
+        # the suite is every decorated check of the module, in definition order
+        defined = [f for name, f in vars(verify).items() if name.startswith("check_")]
+        assert list(CHECKS) == sorted(defined, key=lambda f: f.__wrapped__.__code__.co_firstlineno)
+
+    def test_a_check_decorated_after_import_stays_out_of_the_suite(self):
+        late = verify._check("late", 1.0)(lambda rng, fast, tol: ("PASS", 0.0, "late"))
+        assert verify.CHECKS is CHECKS and late not in CHECKS
+        assert late(np.random.default_rng(0)).name == "late"
+
+    def test_a_negative_seed_is_invalid_input_naming_it(self):
+        with pytest.raises(InvalidParameterError, match=r"^seed must be >= 0: got -1$"):
+            run_verification(-1)
 
     def test_a_raising_measurement_is_a_fail_and_the_suite_goes_on(self, monkeypatch):
         def boom(*args, **kwargs):
