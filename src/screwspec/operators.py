@@ -1,49 +1,17 @@
-"""Differential-operator evaluators for the series and the operator-identity checks.
+"""The radial operator and its x-space form, evaluated at one point.
 
-Everything here works pointwise on analytic probe functions, so tests can
-verify operator identities without any discretisation error.
+:func:`transformed_lhs` is the operator :func:`series.series_residual`
+applies, and ``verify`` checks the two forms against each other and
+against the full 3-d equation.  They are audit-only, so the package does
+not export them.  They stay a module because the benchmark's tracer
+wraps them here by name (``perfbench/spans.py``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 from .params import PhysicalParams, derive_params
 
-__all__ = [
-    "Probe",
-    "gaussian_probe",
-    "radial_lhs",
-    "transformed_lhs",
-]
-
-
-@dataclass(frozen=True)
-class Probe:
-    """Twice-differentiable test function with analytic derivatives."""
-
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    d2f: Callable[[float], float]
-
-
-def gaussian_probe(width: float = 1.0, center: float = 0.0) -> Probe:
-    """Gaussian bump ``exp(-width (t - center)^2)`` with exact derivatives."""
-    if width <= 0:
-        raise ValueError(f"width must be positive: got {width}")
-
-    def f(t: float) -> float:
-        return math.exp(-width * (t - center) ** 2)
-
-    def df(t: float) -> float:
-        return -2.0 * width * (t - center) * f(t)
-
-    def d2f(t: float) -> float:
-        return (4.0 * width**2 * (t - center) ** 2 - 2.0 * width) * f(t)
-
-    return Probe(f=f, df=df, d2f=d2f)
+__all__: list[str] = []
 
 
 def radial_lhs(

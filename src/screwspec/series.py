@@ -26,7 +26,8 @@ code path applies.  The spectral value is a bare float: in both models
 it is the lambda of E = (k^2 + lambda)/(2 mass) + delta - Omega iota.
 
 :func:`series_residual` returns the largest normalised residual over its
-points as one float.
+points as one float.  ``verify`` is its one library caller, so the package
+does not export it.
 
 The alternate denominator d3(i) = (i + 3/2 + j)(i + 2) is inconsistent
 with the seed row above; it lives only in the ``verify`` audit, which
@@ -54,7 +55,6 @@ __all__ = [
     "ConvergenceWarning",
     "series_coefficients",
     "eval_psi_x_derivatives",
-    "series_residual",
 ]
 
 OVERFLOW_LIMIT = 1e300

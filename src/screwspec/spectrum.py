@@ -67,12 +67,9 @@ __all__ = [
     "EnergyLevel",
     "NegativeDiscriminantError",
     "TruncationError",
-    "N1Levels",
     "LambdaPolynomialTable",
     "lambda_polynomials",
     "truncation_solve",
-    "n1_levels",
-    "closed_form_discriminant",
     "ground_state_closed_form",
     "ground_state_wavefunction",
     "level_series",

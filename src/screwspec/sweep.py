@@ -32,7 +32,6 @@ from .params import InvalidParameterError, PhysicalParams, _require_int
 from .spectrum import n1_levels
 
 __all__ = [
-    "SWEEPABLE_PARAMETERS",
     "SweepSpec",
     "SweepRow",
     "sweep_values",
@@ -109,6 +108,20 @@ class SweepRow:
     discriminant: float | None
     termination_defect: float | None
 
+
+def _refuse_assignment(row: SweepRow, name: str, value: object) -> None:
+    raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(row: SweepRow, name: str) -> None:
+    raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The frozen methods that dataclass generates compare type(row) with the class
+# that slots=True replaced, so a name that is not a field reached super() and
+# raised TypeError; a row refuses every name alike.
+SweepRow.__setattr__ = _refuse_assignment
+SweepRow.__delattr__ = _refuse_deletion
 
 # the CSV columns and JSON keys, in this order
 _ROW_FIELDS = tuple(f.name for f in dataclasses.fields(SweepRow))

@@ -33,9 +33,10 @@ modules they audit: the alternate recurrence denominator, the closed-form
 and flux-periodicity comparisons, and the two operator identities,
 :func:`changeofvar_consistency` (radial operator against its x-space
 form) and :func:`separation_residual` (full 3-d equation against the
-radial one).  ``separation-identity`` draws spectral values and maps them
-forward with :func:`params.spectral_to_energy`, so it checks the energy
-map every route reports through.
+radial one), with the analytic probes they apply the operators to
+(:func:`gaussian_probe`).  ``separation-identity`` draws spectral values
+and maps them forward with :func:`params.spectral_to_energy`, so it
+checks the energy map every route reports through.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import Probe, gaussian_probe, radial_lhs, transformed_lhs
+from .operators import radial_lhs, transformed_lhs
 from .oracle import GridMode, GridSpec, flat_exact_spectrum, oracle_eigenvalues
 from .params import (
     InvalidParameterError, Model, PhysicalParams, _require_int, derive_params, spectral_to_energy
@@ -275,6 +276,32 @@ def check_series_residual_alternate(rng: np.random.Generator, fast: bool, tol: f
             "residual; the consistent form (i + 2 + j)(i + 2) is the default",
         )
     return "PASS", worst, "alternate denominator unexpectedly agrees"
+
+
+@dataclass(frozen=True)
+class Probe:
+    """Twice-differentiable test function with analytic derivatives."""
+
+    f: Callable[[float], float]
+    df: Callable[[float], float]
+    d2f: Callable[[float], float]
+
+
+def gaussian_probe(width: float = 1.0, center: float = 0.0) -> Probe:
+    """Gaussian bump ``exp(-width (t - center)^2)`` with exact derivatives."""
+    if width <= 0:
+        raise ValueError(f"width must be positive: got {width}")
+
+    def f(t: float) -> float:
+        return math.exp(-width * (t - center) ** 2)
+
+    def df(t: float) -> float:
+        return -2.0 * width * (t - center) * f(t)
+
+    def d2f(t: float) -> float:
+        return (4.0 * width**2 * (t - center) ** 2 - 2.0 * width) * f(t)
+
+    return Probe(f=f, df=df, d2f=d2f)
 
 
 def changeofvar_consistency(

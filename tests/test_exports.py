@@ -22,6 +22,26 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
     assert len(set(module.__all__)) == len(module.__all__)
+    if name != "screwspec.cli":  # the console script's; the package does not import it
+        assert set(module.__all__) <= set(screwspec.__all__)
+
+
+# verify is their only library caller; the benchmark's tracer wraps the
+# evaluators at these module attributes
+AUDIT_ONLY = {
+    "screwspec.operators": ("radial_lhs", "transformed_lhs"),
+    "screwspec.series": ("series_residual",),
+    "screwspec.verify": ("Probe", "gaussian_probe"),
+}
+
+
+@pytest.mark.parametrize("name", AUDIT_ONLY)
+def test_audit_only_names_stay_off_the_package(name):
+    module = importlib.import_module(name)
+    for attr in AUDIT_ONLY[name]:
+        assert hasattr(module, attr)
+        assert attr not in module.__all__ and attr not in screwspec.__all__
+        assert not hasattr(screwspec, attr)
 
 
 def test_the_oracle_imports_params_alone():
@@ -110,6 +130,18 @@ SOLVE_THEN_IMPORT = textwrap.dedent(
 )
 
 
+STAR_IMPORT = textwrap.dedent(
+    """
+    namespace = {}
+    exec("from screwspec import *", namespace)
+    import screwspec
+
+    bound = set(namespace) - {"__builtins__"}
+    assert bound == set(screwspec.__all__), bound ^ set(screwspec.__all__)
+    """
+)
+
+
 def run_fresh(code):
     path = [str(pathlib.Path(screwspec.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -117,6 +149,10 @@ def run_fresh(code):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_star_import_binds_the_package_all():
+    run_fresh(STAR_IMPORT)
 
 
 def test_only_the_oracle_loads_scipy():

@@ -12,9 +12,11 @@ there reaches every route alike and no comparison of two routes can see
 it; those rows are caught by the checks against independent algebra
 (``separation-identity``, ``series-residual``, ``rotation-affinity``).
 
-Known blind spot, not asserted: the oracle's own ι at b without its βk
-term passes every check, because no check yet compares the outer or core
-grids with a route that takes ι from ``params``.
+Known blind spot, asserted as a strict xfail: the oracle's own ι at b
+without its βk term passes every check, because no check yet compares the
+outer or core grids with a route that takes ι from ``params``.  The row
+turns into a failure of this file once a check catches it; then drop its
+mark.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ RUN_VERIFY = (
 
 # (file, pattern, replacement)
 MUTATIONS = {
+    "oracle-iota-without-beta-k": ("oracle.py", "p.flux - b * p.k", "p.flux"),
     "oracle-iota2-sign": ("oracle.py", "+ iota**2 / g", "- iota**2 / g"),
     "oracle-trap-doubled": (
         "oracle.py", "(p.mass * p.omega0 * r) ** 2", "2.0 * (p.mass * p.omega0 * r) ** 2"
@@ -52,7 +55,14 @@ MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MUTATIONS))
+BLIND_SPOT = pytest.mark.xfail(strict=True, reason="no check compares the outer or core grids "
+                               "with a route that takes iota from params")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=BLIND_SPOT) if name == "oracle-iota-without-beta-k" else name
+    for name in sorted(MUTATIONS)
+])
 def test_verify_fails_on_the_mutation(tmp_path, name):
     filename, pattern, replacement = MUTATIONS[name]
     copy = tmp_path / "screwspec"

@@ -10,9 +10,8 @@ from screwspec import (
     derive_params,
     eval_psi_x_derivatives,
     series_coefficients,
-    series_residual,
 )
-from screwspec.series import _seed, _triple
+from screwspec.series import _seed, _triple, series_residual
 from screwspec.verify import _alternate_coefficients
 
 # Oscillator set used throughout: iota = 1, omega = 1/2, j = 1/2.

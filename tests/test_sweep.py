@@ -586,6 +586,18 @@ class TestRowSemantics:
         assert len(set(rows)) == len(rows)
         assert hash(row) == hash(SweepRow(*dataclasses.astuple(row)))
 
+    @pytest.mark.parametrize("name", ["energy", "label", "__dict__"])
+    def test_every_assignment_raises_frozen_instance_error(self, name):
+        # a name that is not a field, too: slots=True left dataclass's frozen
+        # methods raising TypeError from super() for those
+        row = sweep_rows(WEAK, SweepSpec("flux", 0.0, 2.0, 9))[0]
+        cells = typed_cells(row)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):
+            setattr(row, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):
+            delattr(row, name)
+        assert typed_cells(row) == cells
+
     def test_rows_survive_replace_deepcopy_and_pickle(self):
         rows = sweep_rows(WEAK, SweepSpec("flux", 0.0, 2.0, 9, method="truncation"))
         for row in rows:

@@ -8,16 +8,11 @@ from verify_golden import GOLDEN_PATH, record
 from verify_golden import cases as golden_cases
 
 import screwspec.verify as verify
-from screwspec import (
-    InvalidParameterError,
-    Model,
-    PhysicalParams,
-    gaussian_probe,
-    radial_lhs,
-    run_verification,
-    transformed_lhs,
+from screwspec import InvalidParameterError, Model, PhysicalParams, run_verification
+from screwspec.operators import radial_lhs, transformed_lhs
+from screwspec.verify import (
+    CHECKS, CheckResult, changeofvar_consistency, gaussian_probe, separation_residual
 )
-from screwspec.verify import CHECKS, CheckResult, changeofvar_consistency, separation_residual
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 GOLDEN_CASES = golden_cases()
