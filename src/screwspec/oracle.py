@@ -31,6 +31,24 @@ quotient lands more than tau from its bisection value, ``stein`` may not
 have separated the vectors, and the solve is redone with bisection to
 full precision.
 
+A large grid is not bisected.  Its companion, the same grid at
+``N // COMPANION_FACTOR`` points, is solved as above, and its
+eigenvalues are shifts: each pair of the fine grid comes from one LAPACK
+``gttrf`` of T - shift I and ``INVERSE_SOLVES`` ``gttrs`` solves,
+started from the companion's vector interpolated onto the fine nodes,
+and its eigenvalue is again the Rayleigh quotient.  The pairs are kept
+only when they are certified: each residual ||T v - lambda v|| of a unit
+vector is at most tau, neighbouring values lie more than 2 tau apart,
+and one Sturm count (``stebz`` over a range of values, with a tolerance
+so large that it does not bisect; Barth, Martin & Wilkinson, Numer.
+Math. 9, 1967) finds exactly ``n_eigs`` eigenvalues at or below the
+largest value + tau.  Together these make the values the lowest
+``n_eigs`` eigenvalues, each within tau.  Otherwise, and on any value
+that is not finite, the fine grid is bisected after all.  Which grids
+take the companion path follows from the grid size and the level count
+alone: those whose companion has at least ``COMPANION_MIN_POINTS``
+points and ``4 n_eigs``, that is N >= 2048 for five levels.
+
 Near r = 0 the potential behaves like c0 / r^2, with c0 = 2 mass gamma
 plus, at b = 0, iota^2 - 1/4.  For c0 close to the critical value -1/4
 a naive diagonal converges only like 1/log(h).  The default grids
@@ -47,13 +65,13 @@ of the grid; residuals above ``residual_tol`` raise
 :class:`OracleAccuracyError` (grid too coarse) rather than returning
 silently wrong numbers.
 
-scipy supplies ``stebz`` and ``stein``, and nothing else: the first
-solve loads the two routines from scipy's compiled LAPACK wrappers and
-never imports ``scipy.linalg``, whose import alone would add about a
-quarter of a second and 20 MB of peak memory to every ``oracle`` and
-``verify`` run (scipy 1.17, 2-CPU x86-64 Linux).  ``import screwspec``
-and the commands that never reach the oracle (``energy``, ``sweep``,
-``wavefunction``) load no scipy at all.
+scipy supplies ``stebz``, ``stein``, ``gttrf`` and ``gttrs``, and
+nothing else: the first solve loads the four routines from scipy's
+compiled LAPACK wrappers and never imports ``scipy.linalg``, whose
+import alone would add about a quarter of a second and 20 MB of peak
+memory to every ``oracle`` and ``verify`` run (scipy 1.17, 2-CPU x86-64
+Linux).  ``import screwspec`` and the commands that never reach the
+oracle (``energy``, ``sweep``, ``wavefunction``) load no scipy at all.
 """
 
 from __future__ import annotations
@@ -63,7 +81,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -92,6 +110,14 @@ RESIDUAL_TRIM = 0.05
 
 # bisection tolerance as a fraction of the gap bound 3 pi^2 / L^2
 BISECTION_GAP_FRACTION = 1e-3
+
+# a grid of N points takes its shifts from a companion grid of N // COMPANION_FACTOR
+# points, where that has at least COMPANION_MIN_POINTS points and 4 n_eigs
+COMPANION_FACTOR = 8
+COMPANION_MIN_POINTS = 256
+
+# inverse-iteration solves per eigenpair on a grid that has a companion
+INVERSE_SOLVES = 3
 
 
 class GridMode(str, Enum):
@@ -258,8 +284,9 @@ def _residual_norms(
 
 
 @functools.cache
-def _lapack() -> tuple:
-    """LAPACK ``dstebz`` and ``dstein`` from scipy's compiled ``_flapack`` extension.
+def _lapack():
+    """scipy's compiled ``_flapack`` extension, whose ``dstebz``, ``dstein``,
+    ``dgttrf`` and ``dgttrs`` the oracle calls.
 
     These are the functions ``scipy.linalg.lapack`` exports, loaded by
     the first call and kept.  ``import scipy`` runs the package's own
@@ -275,7 +302,7 @@ def _lapack() -> tuple:
     spec = importlib.util.spec_from_file_location("screwspec._flapack", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dstebz, module.dstein
+    return module
 
 
 def _check_info(info: int, routine: str, failure: str) -> None:
@@ -298,16 +325,37 @@ def eigh_tridiagonal(d, e, n_eigs, *, tol):
     scipy's error.  ``d`` and ``e`` must be finite.  The routines are
     loaded on the first call.  ``oracle_eigenvalues`` looks this name up
     when it runs, so a profiler can replace it on the module to time the
-    eigensolve alone.
+    bisection solves alone: a companion grid's, and a fine grid's where
+    it has no companion or its refinement is refused.
     """
-    stebz, stein = _lapack()
-    m, w, iblock, isplit, info = stebz(d, e, 2, 0.0, 1.0, 1, n_eigs, tol, "B")
+    lapack = _lapack()
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, n_eigs, tol, "B")
     _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
     w = w[:m]
-    v, info = stein(d, e, w, iblock, isplit)
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
     _check_info(info, "stein", "%d eigenvectors failed to converge")
     order = np.argsort(w)
     return w[order], v[:, order]
+
+
+def _row_sums(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Row sums of the symmetric tridiagonal (diag, off)."""
+    rows = diag.copy()
+    rows[:-1] += off
+    rows[1:] += off
+    return rows
+
+
+def _rayleigh_quotient(rows: np.ndarray, off: np.ndarray, v: np.ndarray) -> float:
+    """Rayleigh quotient of v, (sum r_i v_i^2 - sum off_i (v_{i+1} - v_i)^2) / sum v_i^2.
+
+    ``rows`` are the row sums r.  Written so, it never subtracts two sums
+    of the size of the matrix norm: the row sums are exact differences of
+    the stored entries, and where ``off`` <= 0 the second sum only adds.
+    """
+    weight = v * v
+    step = np.diff(v)
+    return (np.sum(rows * weight) - np.sum(off * step**2)) / np.sum(weight)
 
 
 def _lowest_eigenpairs(
@@ -316,30 +364,111 @@ def _lowest_eigenpairs(
     """Lowest ``n_eigs`` eigenpairs of the symmetric tridiagonal (diag, off).
 
     Bisection stops at ``tol``; each eigenvalue is the Rayleigh quotient
-    of its ``stein`` vector v, taken as
-    (sum r_i v_i^2 - sum off_i (v_{i+1} - v_i)^2) / sum v_i^2 with r the
-    row sums.  Written so, it never subtracts two sums of the size of
-    the matrix norm: the row sums are exact differences of the stored
-    entries, and where ``off`` <= 0 the second sum only adds.
-
-    Bisection values closer than ``tol`` leave their vectors to ``stein``
-    unresolved, and a quotient more than ``tol`` from its bisection value
-    means ``stein`` did not separate them; either way the pairs are
-    recomputed with bisection to full precision.
+    of its ``stein`` vector.  Bisection values closer than ``tol`` leave
+    their vectors to ``stein`` unresolved, and a quotient more than
+    ``tol`` from its bisection value means ``stein`` did not separate
+    them; either way the pairs are recomputed with bisection to full
+    precision.
     """
     values, vectors = eigh_tridiagonal(diag, off, n_eigs, tol=tol)
-    rows = diag.copy()
-    rows[:-1] += off
-    rows[1:] += off
-    quotients = np.empty(n_eigs)
-    for jcol in range(n_eigs):  # one column at a time: no n x n_eigs temporaries
-        v = vectors[:, jcol]
-        weight = v * v
-        step = np.diff(v)
-        quotients[jcol] = (np.sum(rows * weight) - np.sum(off * step**2)) / np.sum(weight)
+    rows = _row_sums(diag, off)
+    # one column at a time: no n x n_eigs temporaries
+    quotients = np.array([_rayleigh_quotient(rows, off, vectors[:, j]) for j in range(n_eigs)])
     if np.all(np.diff(values) > tol) and np.all(np.abs(quotients - values) <= tol):
         return quotients, vectors
     return eigh_tridiagonal(diag, off, n_eigs, tol=0.0)
+
+
+def _companion_shifts(
+    p: PhysicalParams, grid: GridSpec, n_eigs: int, tol: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Shifts and start vectors for ``grid`` from its companion grid.
+
+    The companion is ``grid`` at ``n_points // COMPANION_FACTOR`` points,
+    solved by :func:`_lowest_eigenpairs`.  Its lowest ``n_eigs``
+    eigenvalues are the shifts; its eigenvectors, interpolated linearly
+    onto the fine nodes between the Dirichlet zeros at the grid's ends,
+    are the start vectors.  None where its potential overflows.
+    """
+    companion = replace(grid, n_points=grid.n_points // COMPANION_FACTOR)
+    h, diag, _ = _assemble(p, companion)
+    if not np.isfinite(diag).all():
+        return None
+    n, n_coarse = grid.n_points, companion.n_points
+    shifts, vectors = _lowest_eigenpairs(diag, np.full(n_coarse - 1, -1.0 / h**2), n_eigs, tol)
+    # fine node i lies at i (n_coarse + 1) / (n + 1) in the companion's node
+    # numbering, whose nodes 0 and n_coarse + 1 are the grid's ends
+    at = np.arange(1, n + 1) * ((n_coarse + 1) / (n + 1))
+    nodes = np.arange(n_coarse + 2, dtype=float)
+    padded = np.zeros(n_coarse + 2)
+    starts = np.empty((n, n_eigs), order="F")
+    for jcol in range(n_eigs):
+        padded[1:-1] = vectors[:, jcol]
+        starts[:, jcol] = np.interp(at, nodes, padded)
+    return shifts, starts
+
+
+def _count_at_or_below(diag: np.ndarray, off: np.ndarray, value: float) -> int:
+    """Eigenvalues of the tridiagonal (diag, off) at or below ``value``, by one Sturm count.
+
+    ``dstebz`` counts the eigenvalues in (lower, value], with ``lower``
+    under the Gershgorin bound of the whole spectrum, from the signs of
+    the LDL^T pivots at both ends (Barth, Martin & Wilkinson, Numer.
+    Math. 9, 1967).  Its absolute tolerance is so large that it bisects
+    no further.  -1 where LAPACK reports a failure.
+    """
+    lower = np.min(diag) - 2.0 * np.max(np.abs(off))
+    m, *_, info = _lapack().dstebz(
+        diag, off, 1, lower - abs(lower) - 1.0, value, 0, 0, np.finfo(float).max, "B"
+    )
+    return m if info == 0 else -1
+
+
+def _refined_eigenpairs(
+    diag: np.ndarray, off: np.ndarray, shifts: np.ndarray, starts: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenpairs of (diag, off) by inverse iteration at ``shifts``, or None.
+
+    Each pair takes one ``dgttrf`` of T - shift I and ``INVERSE_SOLVES``
+    ``dgttrs`` solves from its column of ``starts``; its eigenvalue is
+    the vector's Rayleigh quotient.  The pairs are returned only when
+    they are certified to be the lowest ``len(shifts)`` of T, each
+    eigenvalue within ``tol``:
+
+    * each residual ||T v - lambda v|| of a unit vector v is at most
+      ``tol``, so T has an eigenvalue within ``tol`` of each lambda;
+    * neighbouring lambdas are more than 2 ``tol`` apart, so those
+      eigenvalues are distinct;
+    * one Sturm count finds exactly ``len(shifts)`` eigenvalues at or
+      below the largest lambda + ``tol``, so none lies below them.
+
+    A failed factorisation or a value that is not finite also gives None.
+    """
+    lapack = _lapack()
+    rows = _row_sums(diag, off)
+    values = np.empty(len(shifts))
+    vectors = np.empty(starts.shape, order="F")
+    for jcol, shift in enumerate(shifts):
+        *factors, info = lapack.dgttrf(off, diag - shift, off)
+        if info != 0:
+            return None
+        v = starts[:, jcol]
+        for _ in range(INVERSE_SOLVES):
+            v, _ = lapack.dgttrs(*factors, v)
+            v /= math.sqrt(np.sum(v * v))
+        value = _rayleigh_quotient(rows, off, v)
+        residual = (diag - value) * v
+        residual[:-1] += off * v[1:]
+        residual[1:] += off * v[:-1]
+        if not np.sum(residual * residual) <= tol**2:  # a NaN fails too
+            return None
+        values[jcol] = value
+        vectors[:, jcol] = v
+    if not np.all(np.diff(values) > 2.0 * tol):
+        return None
+    if _count_at_or_below(diag, off, values[-1] + tol) != len(shifts):
+        return None
+    return values, vectors
 
 
 def oracle_eigenvalues(
@@ -382,7 +511,14 @@ def oracle_eigenvalues(
         )
     off = np.full(grid.n_points - 1, -1.0 / h**2)
     gap = 3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2
-    eigenvalues, vectors = _lowest_eigenpairs(diag, off, n_eigs, BISECTION_GAP_FRACTION * gap)
+    tol = BISECTION_GAP_FRACTION * gap
+    pairs = None
+    if grid.n_points // COMPANION_FACTOR >= max(COMPANION_MIN_POINTS, 4 * n_eigs):
+        with np.errstate(all="ignore"):
+            start = _companion_shifts(p, grid, n_eigs, tol)
+            if start is not None:
+                pairs = _refined_eigenpairs(diag, off, *start, tol)
+    eigenvalues, vectors = pairs or _lowest_eigenpairs(diag, off, n_eigs, tol)
     with np.errstate(all="ignore"):
         norms = _residual_norms(h, gate, eigenvalues, vectors)
     if not np.isfinite(norms).all():

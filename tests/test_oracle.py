@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -207,23 +208,26 @@ class TestEigenvalues:
             oracle_eigenvalues(p, GridSpec.default(mode, p, 400), residual_tol=tol)
 
     def test_eigensolve_is_looked_up_on_the_module(self, monkeypatch):
-        # profilers time the eigensolve alone by replacing this module global
+        # profilers time the eigensolve alone by replacing this module global; a
+        # grid with a companion calls it on the companion alone
         import screwspec.oracle as oracle_mod
 
         p = flat_critical()
-        grid = GridSpec.default(GridMode.FLAT, p)
-        plain = oracle_eigenvalues(p, grid)
         solve = oracle_mod.eigh_tridiagonal
-        calls = []
+        for n_points, sizes in ((4000, [(500,)]), (2000, [(2000,)])):
+            grid = GridSpec.default(GridMode.FLAT, p, n_points)
+            plain = oracle_eigenvalues(p, grid, residual_tol=None)
+            calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return solve(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls.append(args[0].shape)
+                return solve(*args, **kwargs)
 
-        monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
-        counted = oracle_eigenvalues(p, grid)
-        assert calls == [(grid.n_points,)]
-        assert counted.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
+            monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
+            counted = oracle_eigenvalues(p, grid, residual_tol=None)
+            monkeypatch.undo()
+            assert calls == sizes
+            assert counted.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
 
     def test_outer_grid_must_clear_the_dislocation_radius(self):
         grid = GridSpec(mode=GridMode.OUTER, r_min=0.2, r_max=10.0)
@@ -466,6 +470,113 @@ class TestEigensolve:
         assert values.tobytes() == default_bisection_eigenpairs(diag, off, 5)[0].tobytes()
 
 
+class TestCompanion:
+    """Large grids: shifts from the companion grid, inverse iteration, and the certification."""
+
+    @staticmethod
+    def system(p, grid):
+        h, diag, _ = oracle_mod._assemble(p, grid)
+        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2
+        return diag, off, tau
+
+    @staticmethod
+    def sizes(monkeypatch):
+        """The size of each eigensolve the oracle calls from now on."""
+        solve = oracle_mod.eigh_tridiagonal
+        sizes = []
+
+        def counting(*args, **kwargs):
+            sizes.append(len(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
+        return sizes
+
+    def test_every_seeded_grid_with_a_companion_takes_its_path(self, monkeypatch):
+        sizes = self.sizes(monkeypatch)
+        large = [(p, grid) for p, grid in seeded_grids()
+                 if grid.n_points // oracle_mod.COMPANION_FACTOR >= oracle_mod.COMPANION_MIN_POINTS]
+        assert len(large) == 32
+        for p, grid in large:
+            sizes.clear()
+            oracle_eigenvalues(p, grid, residual_tol=None)
+            assert sizes == [grid.n_points // oracle_mod.COMPANION_FACTOR], (p, grid)
+
+    @pytest.mark.parametrize("doctor", ["levels-1-to-5", "duplicated-shift"])
+    def test_bad_shifts_fall_back_to_bisection(self, monkeypatch, doctor):
+        p = flat_critical()
+        grid = GridSpec.default(GridMode.FLAT, p)
+        diag, off, tau = self.system(p, grid)
+        shift_source = oracle_mod._companion_shifts
+
+        def doctored(p, grid, n_eigs, tol):
+            shifts, starts = shift_source(p, grid, n_eigs + 1, tol)
+            keep = [1, 2, 3, 4, 5] if doctor == "levels-1-to-5" else [0, 0, 2, 3, 4]
+            return shifts[keep], starts[:, keep]
+
+        monkeypatch.setattr(oracle_mod, "_companion_shifts", doctored)
+        sizes = self.sizes(monkeypatch)
+        got = oracle_eigenvalues(p, grid, residual_tol=None)
+        assert sizes == [500, 4000]
+        values, vectors = oracle_mod._lowest_eigenpairs(diag, off, 5, tau)
+        assert got.eigenvalues.tobytes() == values.tobytes()
+        h, _, gate = oracle_mod._assemble(p, grid)
+        norms = oracle_mod._residual_norms(h, gate, values, vectors)
+        assert got.residual_norms.tobytes() == norms.tobytes()
+
+    def test_the_certification(self):
+        # the same five converged pairs pass; a skipped level fails the Sturm
+        # count, and two shifts at one level fail the separation
+        p = flat_critical()
+        grid = GridSpec.default(GridMode.FLAT, p)
+        diag, off, tau = self.system(p, grid)
+        shifts, starts = oracle_mod._companion_shifts(p, grid, 6, tau)
+        refine = oracle_mod._refined_eigenpairs
+        values, vectors = refine(diag, off, shifts[:5], starts[:, :5], tau)
+        finest = eigh_tridiagonal(diag, off, select="i", select_range=(0, 4), tol=1e-300,
+                                  eigvals_only=True)
+        assert np.max(np.abs(values - finest)) <= 0.5 * EPS * np.max(np.abs(diag) + 2.0 * abs(off[0]))
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(5))) <= 1e-12
+        skipped = [0, 1, 2, 3, 5]
+        assert refine(diag, off, shifts[skipped], starts[:, skipped], tau) is None
+        merged = [0, 0, 2, 3, 4]
+        assert refine(diag, off, shifts[merged], starts[:, merged], tau) is None
+        assert refine(diag, off, np.full(5, np.nan), starts[:, :5], tau) is None
+
+    def test_unconverged_vectors_fail_the_residual_bound(self, monkeypatch):
+        # the interpolated companion vectors themselves are separated and
+        # counted right, with quotients 22% off: only their residuals refuse them
+        p = flat_critical()
+        grid = GridSpec.default(GridMode.FLAT, p)
+        diag, off, tau = self.system(p, grid)
+        shifts, starts = oracle_mod._companion_shifts(p, grid, 5, tau)
+        monkeypatch.setattr(oracle_mod, "INVERSE_SOLVES", 0)
+        assert oracle_mod._refined_eigenpairs(diag, off, shifts, starts, tau) is None
+
+    def test_the_sturm_count_agrees_with_a_dense_solve(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(20):
+            n = int(rng.integers(64, 300))
+            diag = rng.normal(size=n) * 10.0 ** rng.uniform(0, 4)
+            off = rng.normal(size=n - 1)
+            dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+            for value in rng.choice(dense, 3) + rng.normal(size=3) * 1e-3:
+                count = oracle_mod._count_at_or_below(diag, off, value)
+                assert count == np.count_nonzero(dense <= value), (n, value)
+
+    @pytest.mark.parametrize("mode", [GridMode.OUTER, GridMode.CORE])
+    def test_an_overflowing_refinement_falls_back_to_the_same_error(self, monkeypatch, mode):
+        # at flux 1e80 the refinement refuses its non-finite pairs, silently, and
+        # bisection on the fine grid then meets today's refusal
+        p = PhysicalParams(model=Model.OSCILLATOR, mass=1.0, omega0=2.0, beta=0.5, k=0.5,
+                           ell=2, flux=1e80)
+        sizes = self.sizes(monkeypatch)
+        with pytest.raises(InvalidParameterError, match="residual .* is not finite"):
+            oracle_eigenvalues(p, GridSpec.default(mode, p))
+        assert sizes[0] == 500 and sizes[-1] == 4000
+
+
 def same(ours, theirs):
     """Equal bit for bit, in dtype and shape as well as in bytes."""
     return all(
@@ -521,7 +632,8 @@ class TestLapack:
     )
     def test_a_failed_routine_raises_scipys_error(self, monkeypatch, routine, info, error, message):
         diag, off = np.arange(64.0), np.full(63, -1.0)
-        routines = dict(zip(("stebz", "stein"), oracle_mod._lapack()))
+        lapack = oracle_mod._lapack()
+        routines = {name: getattr(lapack, "d" + name) for name in ("stebz", "stein")}
         real = routines[routine]
 
         def failing(*args):
@@ -529,7 +641,8 @@ class TestLapack:
             return (*out, info)
 
         routines[routine] = failing
-        monkeypatch.setattr(oracle_mod, "_lapack", lambda: tuple(routines.values()))
+        loader = types.SimpleNamespace(**{"d" + name: f for name, f in routines.items()})
+        monkeypatch.setattr(oracle_mod, "_lapack", lambda: loader)
         with pytest.raises(error) as got:
             oracle_mod.eigh_tridiagonal(diag, off, 5, tol=0.0)
         assert str(got.value) == message
