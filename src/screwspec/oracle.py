@@ -14,40 +14,29 @@ Liouville normal form with ``psi = |r^2 - b^2|^(-1/4) u``, giving
 with b = beta on the outer and core grids.  The flat grid is the same
 problem at b = 0, where iota = ell - flux: the beta -> 0 limit, whose
 oscillator spectrum is known exactly.  U is discretised on a uniform
-grid with Dirichlet ends.  The lowest eigenpairs of the tridiagonal
-matrix come from Sturm-sequence bisection and inverse iteration (LAPACK
-``stebz`` and ``stein``): ``eigh_tridiagonal(d, e, n_eigs, tol=tol)``
-returns the lowest ``n_eigs`` pairs, as scipy's
-``eigh_tridiagonal(select="i", select_range=(0, n_eigs - 1))`` computes
-them.  Bisection only has to place each eigenvalue well inside its gap
-for ``stein`` to resolve the vector, so it stops at tau, a thousandth of
-3 pi^2 / L^2 on a grid of length L: the fundamental gap of a convex
-potential on an interval of that length (Andrews & Clutterbuck, JAMS 24,
-2011).  Each eigenvalue is then the Rayleigh quotient of its vector,
-whose error is second order in the vector's: closer than bisection to
-full precision, whose error scales with the norm of the matrix, about
-4 / h^2.  Where two bisection values lie within tau of each other, or a
-quotient lands more than tau from its bisection value, ``stein`` may not
-have separated the vectors, and the solve is redone with bisection to
-full precision.
-
-A large grid is not bisected.  Its companion, the same grid at
-``N // COMPANION_FACTOR`` points, is solved as above, and its
-eigenvalues are shifts: each pair of the fine grid comes from one LAPACK
-``gttrf`` of T - shift I and ``INVERSE_SOLVES`` ``gttrs`` solves,
-started from the companion's vector interpolated onto the fine nodes,
-and its eigenvalue is again the Rayleigh quotient.  The pairs are kept
-only when they are certified: each residual ||T v - lambda v|| of a unit
-vector is at most tau, neighbouring values lie more than 2 tau apart,
-and one Sturm count (``stebz`` over a range of values, with a tolerance
-so large that it does not bisect; Barth, Martin & Wilkinson, Numer.
-Math. 9, 1967) finds exactly ``n_eigs`` eigenvalues at or below the
-largest value + tau.  Together these make the values the lowest
-``n_eigs`` eigenvalues, each within tau.  Otherwise, and on any value
-that is not finite, the fine grid is bisected after all.  Which grids
-take the companion path follows from the grid size and the level count
-alone: those whose companion has at least ``COMPANION_MIN_POINTS``
-points and ``4 n_eigs``, that is N >= 2048 for five levels.
+grid with Dirichlet ends.  The lowest ``n_eigs`` eigenpairs of the
+tridiagonal matrix T come from inverse iteration: each pair takes one
+LAPACK ``gttrf`` of T - shift I and ``INVERSE_SOLVES`` ``gttrs`` solves,
+and its eigenvalue is its vector's Rayleigh quotient, whose error is
+second order in the vector's.  The pairs are kept only when they are
+certified to within tau, a thousandth of 3 pi^2 / L^2 on a grid of
+length L (the fundamental gap of a convex potential on an interval of
+that length; Andrews & Clutterbuck, JAMS 24, 2011): each residual
+||T v - lambda v|| of a unit vector is at most tau, neighbouring values
+lie more than 2 tau apart, and one Sturm count (``stebz`` over a range
+of values, with a tolerance so large that it does not bisect; Barth,
+Martin & Wilkinson, Numer. Math. 9, 1967) finds exactly ``n_eigs``
+eigenvalues at or below the largest value + tau.  The shifts come from
+the companion grid, the same grid at ``N // COMPANION_FACTOR`` points
+solved the same way, with its vectors interpolated onto the fine nodes
+as start vectors, where it has at least ``COMPANION_MIN_POINTS`` points
+and ``4 n_eigs`` (N >= 2048 for five levels).  Otherwise, or where its
+shifts are refused, they are ``stebz`` bisection values to tau, from a
+constant start vector.  Only where both are refused does
+``eigh_tridiagonal(d, e, n_eigs, tol=0)`` run: bisection to full
+precision and ``stein``'s vectors, the lowest ``n_eigs`` pairs as
+scipy's ``eigh_tridiagonal(select="i", select_range=(0, n_eigs - 1))``
+computes them.
 
 Near r = 0 the potential behaves like c0 / r^2, with c0 = 2 mass gamma
 plus, at b = 0, iota^2 - 1/4.  For c0 close to the critical value -1/4
@@ -65,10 +54,10 @@ of the grid; residuals above ``residual_tol`` raise
 :class:`OracleAccuracyError` (grid too coarse) rather than returning
 silently wrong numbers.
 
-scipy supplies ``stebz``, ``stein``, ``gttrf`` and ``gttrs``, and
-nothing else: the first solve loads the four routines from scipy's
-compiled LAPACK wrappers and never imports ``scipy.linalg``, whose
-import alone would add about a quarter of a second and 20 MB of peak
+scipy supplies ``stebz``, ``gttrf``, ``gttrs`` and, for the last
+resort, ``stein``, and nothing else: the first solve loads the routines
+from scipy's compiled LAPACK wrappers and never imports ``scipy.linalg``,
+whose import alone would add about a quarter of a second and 20 MB of peak
 memory to every ``oracle`` and ``verify`` run (scipy 1.17, 2-CPU x86-64
 Linux).  ``import screwspec`` and the commands that never reach the
 oracle (``energy``, ``sweep``, ``wavefunction``) load no scipy at all.
@@ -116,7 +105,7 @@ BISECTION_GAP_FRACTION = 1e-3
 COMPANION_FACTOR = 8
 COMPANION_MIN_POINTS = 256
 
-# inverse-iteration solves per eigenpair on a grid that has a companion
+# inverse-iteration solves per eigenpair
 INVERSE_SOLVES = 3
 
 
@@ -314,6 +303,18 @@ def _check_info(info: int, routine: str, failure: str) -> None:
         raise LinAlgError(f"{driver} {failure % info}")
 
 
+def _bisection(d, e, n_eigs, tol):
+    """``dstebz``'s lowest ``n_eigs`` eigenvalues of (d, e), bisected to ``tol``.
+
+    The first half of :func:`eigh_tridiagonal`: values in block order,
+    with the block indices ``dstein`` takes, and scipy's error on a
+    non-zero ``info``.
+    """
+    m, w, iblock, isplit, info = _lapack().dstebz(d, e, 2, 0.0, 1.0, 1, n_eigs, tol, "B")
+    _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
+    return w[:m], iblock, isplit
+
+
 def eigh_tridiagonal(d, e, n_eigs, *, tol):
     """Lowest ``n_eigs`` eigenpairs of the symmetric tridiagonal (d, e).
 
@@ -323,27 +324,15 @@ def eigh_tridiagonal(d, e, n_eigs, *, tol):
     in block order, ``dstein`` takes each vector by inverse iteration,
     the pairs are sorted by value, and a non-zero LAPACK ``info`` raises
     scipy's error.  ``d`` and ``e`` must be finite.  The routines are
-    loaded on the first call.  ``oracle_eigenvalues`` looks this name up
-    when it runs, so a profiler can replace it on the module to time the
-    bisection solves alone: a companion grid's, and a fine grid's where
-    it has no companion or its refinement is refused.
+    loaded on the first call.  The oracle calls it as its last resort
+    only, and looks the name up when it runs, so a profiler can replace
+    it on the module to time those solves alone.
     """
-    lapack = _lapack()
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, n_eigs, tol, "B")
-    _check_info(info, "stebz", "did not converge (LAPACK info=%d)")
-    w = w[:m]
-    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    w, iblock, isplit = _bisection(d, e, n_eigs, tol)
+    v, info = _lapack().dstein(d, e, w, iblock, isplit)
     _check_info(info, "stein", "%d eigenvectors failed to converge")
     order = np.argsort(w)
     return w[order], v[:, order]
-
-
-def _row_sums(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Row sums of the symmetric tridiagonal (diag, off)."""
-    rows = diag.copy()
-    rows[:-1] += off
-    rows[1:] += off
-    return rows
 
 
 def _rayleigh_quotient(rows: np.ndarray, off: np.ndarray, v: np.ndarray) -> float:
@@ -356,27 +345,6 @@ def _rayleigh_quotient(rows: np.ndarray, off: np.ndarray, v: np.ndarray) -> floa
     weight = v * v
     step = np.diff(v)
     return (np.sum(rows * weight) - np.sum(off * step**2)) / np.sum(weight)
-
-
-def _lowest_eigenpairs(
-    diag: np.ndarray, off: np.ndarray, n_eigs: int, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest ``n_eigs`` eigenpairs of the symmetric tridiagonal (diag, off).
-
-    Bisection stops at ``tol``; each eigenvalue is the Rayleigh quotient
-    of its ``stein`` vector.  Bisection values closer than ``tol`` leave
-    their vectors to ``stein`` unresolved, and a quotient more than
-    ``tol`` from its bisection value means ``stein`` did not separate
-    them; either way the pairs are recomputed with bisection to full
-    precision.
-    """
-    values, vectors = eigh_tridiagonal(diag, off, n_eigs, tol=tol)
-    rows = _row_sums(diag, off)
-    # one column at a time: no n x n_eigs temporaries
-    quotients = np.array([_rayleigh_quotient(rows, off, vectors[:, j]) for j in range(n_eigs)])
-    if np.all(np.diff(values) > tol) and np.all(np.abs(quotients - values) <= tol):
-        return quotients, vectors
-    return eigh_tridiagonal(diag, off, n_eigs, tol=0.0)
 
 
 def _companion_shifts(
@@ -395,7 +363,8 @@ def _companion_shifts(
     if not np.isfinite(diag).all():
         return None
     n, n_coarse = grid.n_points, companion.n_points
-    shifts, vectors = _lowest_eigenpairs(diag, np.full(n_coarse - 1, -1.0 / h**2), n_eigs, tol)
+    off = np.full(n_coarse - 1, -1.0 / h**2)
+    shifts, vectors = _lowest_eigenpairs(p, companion, diag, off, n_eigs, tol)
     # fine node i lies at i (n_coarse + 1) / (n + 1) in the companion's node
     # numbering, whose nodes 0 and n_coarse + 1 are the grid's ends
     at = np.arange(1, n + 1) * ((n_coarse + 1) / (n + 1))
@@ -445,7 +414,9 @@ def _refined_eigenpairs(
     A failed factorisation or a value that is not finite also gives None.
     """
     lapack = _lapack()
-    rows = _row_sums(diag, off)
+    rows = diag.copy()
+    rows[:-1] += off
+    rows[1:] += off
     values = np.empty(len(shifts))
     vectors = np.empty(starts.shape, order="F")
     for jcol, shift in enumerate(shifts):
@@ -469,6 +440,28 @@ def _refined_eigenpairs(
     if _count_at_or_below(diag, off, values[-1] + tol) != len(shifts):
         return None
     return values, vectors
+
+
+def _lowest_eigenpairs(
+    p: PhysicalParams, grid: GridSpec, diag: np.ndarray, off: np.ndarray, n_eigs: int, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``n_eigs`` eigenpairs of ``grid``'s tridiagonal (diag, off).
+
+    The pairs of :func:`_refined_eigenpairs`, at the first shifts whose
+    pairs it certifies: the companion grid's, where that has at least
+    ``COMPANION_MIN_POINTS`` points and ``4 n_eigs``, then ``dstebz``'s
+    values bisected to ``tol``, from a constant start vector.  Where both
+    are refused, :func:`eigh_tridiagonal` to full precision.
+    """
+    if grid.n_points // COMPANION_FACTOR >= max(COMPANION_MIN_POINTS, 4 * n_eigs):
+        start = _companion_shifts(p, grid, n_eigs, tol)
+        pairs = start and _refined_eigenpairs(diag, off, *start, tol)
+        if pairs:
+            return pairs
+    shifts = np.sort(_bisection(diag, off, n_eigs, tol)[0])
+    constant = np.broadcast_to(1.0, (grid.n_points, n_eigs))
+    pairs = _refined_eigenpairs(diag, off, shifts, constant, tol)
+    return pairs or eigh_tridiagonal(diag, off, n_eigs, tol=0.0)
 
 
 def oracle_eigenvalues(
@@ -505,21 +498,13 @@ def oracle_eigenvalues(
         )
     with np.errstate(all="ignore"):
         h, diag, gate = _assemble(p, grid)
-    if not np.isfinite(diag).all():
-        raise InvalidParameterError(
-            f"the potential on the {grid.mode.value} grid overflows at these parameters"
-        )
-    off = np.full(grid.n_points - 1, -1.0 / h**2)
-    gap = 3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2
-    tol = BISECTION_GAP_FRACTION * gap
-    pairs = None
-    if grid.n_points // COMPANION_FACTOR >= max(COMPANION_MIN_POINTS, 4 * n_eigs):
-        with np.errstate(all="ignore"):
-            start = _companion_shifts(p, grid, n_eigs, tol)
-            if start is not None:
-                pairs = _refined_eigenpairs(diag, off, *start, tol)
-    eigenvalues, vectors = pairs or _lowest_eigenpairs(diag, off, n_eigs, tol)
-    with np.errstate(all="ignore"):
+        if not np.isfinite(diag).all():
+            raise InvalidParameterError(
+                f"the potential on the {grid.mode.value} grid overflows at these parameters"
+            )
+        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        tol = BISECTION_GAP_FRACTION * (3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2)
+        eigenvalues, vectors = _lowest_eigenpairs(p, grid, diag, off, n_eigs, tol)
         norms = _residual_norms(h, gate, eigenvalues, vectors)
     if not np.isfinite(norms).all():
         raise InvalidParameterError(
@@ -560,12 +545,17 @@ def flat_exact_spectrum(p: PhysicalParams, n_r: int) -> float:
 
 
 def oracle_csv(results: Iterable[OracleResult] | Sequence[OracleResult]) -> str:
-    """Eigenvalue table as CSV (17 significant digits, byte-stable)."""
+    """Eigenvalue table as CSV, byte-stable.
+
+    Eigenvalues and grid ends take 17 significant digits.  Residual norms
+    take three (``.2e``): a norm near its rounding floor carries no more,
+    and its later digits move with the order of floating-point operations.
+    """
     lines = ["mode,index,lambda,residual_norm,n_points,r_min,r_max"]
     for result in results:
         for i, (lam, rn) in enumerate(zip(result.eigenvalues, result.residual_norms)):
             lines.append(
-                f"{result.mode.value},{i},{lam:.17g},{rn:.17g},"
+                f"{result.mode.value},{i},{lam:.17g},{rn:.2e},"
                 f"{result.n_points},{result.r_min:.17g},{result.r_max:.17g}"
             )
     return "\n".join(lines) + "\n"

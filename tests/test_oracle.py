@@ -1,5 +1,6 @@
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,25 +209,18 @@ class TestEigenvalues:
             oracle_eigenvalues(p, GridSpec.default(mode, p, 400), residual_tol=tol)
 
     def test_eigensolve_is_looked_up_on_the_module(self, monkeypatch):
-        # profilers time the eigensolve alone by replacing this module global; a
-        # grid with a companion calls it on the companion alone
-        import screwspec.oracle as oracle_mod
-
+        # profilers time the last resort alone by replacing this module global;
+        # with every certificate refused, a grid with a companion calls it on the
+        # companion and then on itself
         p = flat_critical()
-        solve = oracle_mod.eigh_tridiagonal
-        for n_points, sizes in ((4000, [(500,)]), (2000, [(2000,)])):
+        monkeypatch.setattr(oracle_mod, "_refined_eigenpairs", lambda *args: None)
+        for n_points, sizes in ((4000, [500, 4000]), (2000, [2000])):
             grid = GridSpec.default(GridMode.FLAT, p, n_points)
             plain = oracle_eigenvalues(p, grid, residual_tol=None)
-            calls = []
-
-            def counting(*args, **kwargs):
-                calls.append(args[0].shape)
-                return solve(*args, **kwargs)
-
-            monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
-            counted = oracle_eigenvalues(p, grid, residual_tol=None)
-            monkeypatch.undo()
-            assert calls == sizes
+            with monkeypatch.context() as patched:
+                calls = last_resorts(patched)
+                counted = oracle_eigenvalues(p, grid, residual_tol=None)
+            assert calls == [(n, 0.0) for n in sizes]
             assert counted.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
 
     def test_outer_grid_must_clear_the_dislocation_radius(self):
@@ -366,13 +360,26 @@ def default_bisection_eigenpairs(diag, off, n_eigs):
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_eigs - 1))
 
 
+def last_resorts(monkeypatch):
+    """``(size, tol)`` of each last-resort eigensolve the oracle calls from now on."""
+    solve = oracle_mod.eigh_tridiagonal
+    calls = []
+
+    def counting(d, e, n_eigs, *, tol):
+        calls.append((len(d), tol))
+        return solve(d, e, n_eigs, tol=tol)
+
+    monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def seeded_solves():
     """Each seeded grid solved by the oracle, by the reference path and by tol=1e-300.
 
     Bisection with ``tol=1e-300`` still has an error of order eps ||T||,
     with ||T|| about 4 / h^2, so distances to it are measured in that
-    unit.
+    unit.  ``last_resort`` counts the oracle's calls of its last resort.
     """
     solves = []
     for p, grid in seeded_grids():
@@ -382,12 +389,15 @@ def seeded_solves():
             diag, off, select="i", select_range=(0, 4), tol=1e-300, eigvals_only=True
         )
         values, vectors = default_bisection_eigenpairs(diag, off, 5)
-        result = oracle_eigenvalues(p, grid, residual_tol=None)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = last_resorts(monkeypatch)
+            result = oracle_eigenvalues(p, grid, residual_tol=None)
         unit = EPS * np.max(np.abs(diag) + 2.0 / h**2)
         solves.append(
             dict(
                 label=f"{p.model.value} {grid.mode.value}"
                 + (f" r_max={grid.r_max:g}" if grid.mode is GridMode.OUTER else ""),
+                last_resort=len(calls),
                 quotient=np.max(np.abs(result.eigenvalues - finest)) / unit,
                 bisection=np.max(np.abs(values - finest)) / unit,
                 gate=bool(np.any(result.residual_norms > oracle_mod.DEFAULT_RESIDUAL_TOL)),
@@ -401,7 +411,7 @@ def seeded_solves():
 
 
 class TestEigensolve:
-    """Bisection to tau, Rayleigh-quotient eigenvalues, and the retry."""
+    """Shifts, inverse iteration, one certificate, and the last resort."""
 
     def test_within_half_an_eps_norm_of_the_finest_bisection(self, seeded_solves):
         assert len(seeded_solves) == 64
@@ -424,25 +434,33 @@ class TestEigensolve:
         assert [a for a, _ in verdicts] == [b for _, b in verdicts]
         assert {a for a, _ in verdicts} == {True, False}  # both verdicts are exercised
 
+    def test_no_seeded_or_default_grid_reaches_the_last_resort(self, seeded_solves, monkeypatch):
+        assert [s["last_resort"] for s in seeded_solves] == [0] * 64
+        calls = last_resorts(monkeypatch)
+        for p in (P_OSC, P_INV):
+            for mode in GridMode:
+                oracle_eigenvalues(p, GridSpec.default(mode, p), residual_tol=None)
+        assert calls == []
+
     @staticmethod
-    def counted(monkeypatch, wrong_by=0.0):
-        """Record the ``tol`` of each eigensolve; optionally shift the loose one's values."""
-        solve = oracle_mod.eigh_tridiagonal
-        tols = []
+    def quotients(monkeypatch):
+        """Each Rayleigh quotient taken from now on."""
+        quotient = oracle_mod._rayleigh_quotient
+        taken = []
 
-        def counting(*args, **kwargs):
-            tols.append(kwargs["tol"])
-            values, vectors = solve(*args, **kwargs)
-            return (values + wrong_by if kwargs["tol"] else values), vectors
+        def recording(*args):
+            taken.append(quotient(*args))
+            return taken[-1]
 
-        monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
-        return tols
+        monkeypatch.setattr(oracle_mod, "_rayleigh_quotient", recording)
+        return taken
 
     def test_a_double_well_takes_the_retry(self, monkeypatch):
         # Each low level of a quartic double well is a pair split far below
-        # tau, so bisection cannot tell the two apart.  Both quotients would
-        # still lie within the splitting of the pair; the retry is taken
-        # because the pair's bisection values lie within tau of each other.
+        # tau: bisection cannot tell the two apart, and inverse iteration at
+        # both shifts finds the same vector.  All five residuals pass (five
+        # quotients are taken), the pair's quotients lie within 2 tau, and the
+        # separation check refuses them before the Sturm count.
         n, length = 200, 10.0
         h = length / (n + 1)
         x = -length / 2 + h * np.arange(1, n + 1)
@@ -451,57 +469,123 @@ class TestEigensolve:
         dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[:5]
         tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / length**2
         assert dense[1] - dense[0] < 1e-5 * tau
-        tols = self.counted(monkeypatch)
-        values, vectors = oracle_mod._lowest_eigenpairs(diag, off, 5, tau)
-        assert tols == [tau, 0.0]
+        calls, quotients = last_resorts(monkeypatch), self.quotients(monkeypatch)
+        monkeypatch.setattr(oracle_mod, "_count_at_or_below", None)  # never reached
+        grid = GridSpec(GridMode.FLAT, 0.0, length, n)  # too small for a companion
+        values, vectors = oracle_mod._lowest_eigenpairs(None, grid, diag, off, 5, tau)
+        assert len(quotients) == 5 and quotients[1] - quotients[0] <= 2.0 * tau
+        assert calls == [(n, 0.0)]
         assert np.max(np.abs(values - dense)) <= 20 * EPS * np.max(np.abs(diag) + 2.0 / h**2)
         assert np.max(np.abs(vectors.T @ vectors - np.eye(5))) <= 1e-12
 
+    @staticmethod
+    def stray(monkeypatch, wrong_by):
+        """Shift each value of a bisection to tau by ``wrong_by``; the last resort's are kept."""
+        bisection = oracle_mod._bisection
+
+        def doctored(d, e, n_eigs, tol):
+            values, *blocks = bisection(d, e, n_eigs, tol)
+            return (values + wrong_by if tol else values), *blocks
+
+        monkeypatch.setattr(oracle_mod, "_bisection", doctored)
+
     def test_a_stray_quotient_takes_the_retry(self, monkeypatch):
-        # well-separated levels whose bisection values land 2 tau off
+        # Well-separated levels whose bisection values land a tenth of the
+        # level spacing 4 M omega0 = 4 off: three solves leave the first
+        # level's residual above tau, and the last resort takes over.
         p = flat_critical()
         grid = GridSpec.default(GridMode.FLAT, p, n_points=500)
         h, diag, _ = oracle_mod._assemble(p, grid)
         off = np.full(grid.n_points - 1, -1.0 / h**2)
         tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / grid.r_max**2
-        tols = self.counted(monkeypatch, wrong_by=2.0 * tau)
-        values, _ = oracle_mod._lowest_eigenpairs(diag, off, 5, tau)
-        assert tols == [tau, 0.0]
+        self.stray(monkeypatch, 0.4)
+        calls, quotients = last_resorts(monkeypatch), self.quotients(monkeypatch)
+        values, _ = oracle_mod._lowest_eigenpairs(p, grid, diag, off, 5, tau)
+        assert len(quotients) == 1 and calls == [(500, 0.0)]
         assert values.tobytes() == default_bisection_eigenpairs(diag, off, 5)[0].tobytes()
+
+    def test_shifts_off_by_two_tau_are_certified(self, monkeypatch):
+        # the certificate checks the vectors, not the shifts: values 2 tau off
+        # converge in three solves, and their quotients are the true ones
+        p = flat_critical()
+        grid = GridSpec.default(GridMode.FLAT, p, n_points=500)
+        h, diag, _ = oracle_mod._assemble(p, grid)
+        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / grid.r_max**2
+        exact, _ = oracle_mod._lowest_eigenpairs(p, grid, diag, off, 5, tau)
+        self.stray(monkeypatch, 2.0 * tau)
+        calls = last_resorts(monkeypatch)
+        values, _ = oracle_mod._lowest_eigenpairs(p, grid, diag, off, 5, tau)
+        assert calls == []
+        assert np.max(np.abs(values - exact) / exact) <= 2e-15
 
 
 class TestCompanion:
-    """Large grids: shifts from the companion grid, inverse iteration, and the certification."""
+    """Shifts from the companion grid or from bisection, inverse iteration, and the certificate."""
 
     @staticmethod
     def system(p, grid):
         h, diag, _ = oracle_mod._assemble(p, grid)
         off = np.full(grid.n_points - 1, -1.0 / h**2)
-        tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2
+        tau = oracle_mod.BISECTION_GAP_FRACTION * (
+            3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2)
         return diag, off, tau
 
     @staticmethod
-    def sizes(monkeypatch):
-        """The size of each eigensolve the oracle calls from now on."""
-        solve = oracle_mod.eigh_tridiagonal
-        sizes = []
+    def routes(monkeypatch):
+        """``(size, accepted)`` of each refinement the oracle calls from now on.
 
-        def counting(*args, **kwargs):
-            sizes.append(len(args[0]))
+        A last resort is recorded as ``(size, "last resort")``.
+        """
+        refine, solve = oracle_mod._refined_eigenpairs, oracle_mod.eigh_tridiagonal
+        routes = []
+
+        def refining(diag, *args):
+            pairs = refine(diag, *args)
+            routes.append((len(diag), pairs is not None))
+            return pairs
+
+        def solving(*args, **kwargs):
+            routes.append((len(args[0]), "last resort"))
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", counting)
-        return sizes
+        monkeypatch.setattr(oracle_mod, "_refined_eigenpairs", refining)
+        monkeypatch.setattr(oracle_mod, "eigh_tridiagonal", solving)
+        return routes
 
     def test_every_seeded_grid_with_a_companion_takes_its_path(self, monkeypatch):
-        sizes = self.sizes(monkeypatch)
+        # the companion (N // 8 <= 2000 points, itself without one) is certified
+        # on bisection shifts, and the grid on the companion's
+        routes = self.routes(monkeypatch)
         large = [(p, grid) for p, grid in seeded_grids()
                  if grid.n_points // oracle_mod.COMPANION_FACTOR >= oracle_mod.COMPANION_MIN_POINTS]
         assert len(large) == 32
         for p, grid in large:
-            sizes.clear()
+            routes.clear()
             oracle_eigenvalues(p, grid, residual_tol=None)
-            assert sizes == [grid.n_points // oracle_mod.COMPANION_FACTOR], (p, grid)
+            n = grid.n_points
+            assert routes == [(n // oracle_mod.COMPANION_FACTOR, True), (n, True)], (p, grid)
+
+    def test_a_companion_takes_its_own_companion(self, monkeypatch):
+        # 40000 points: a 5000-point companion, whose shifts come from 625 points
+        routes = self.routes(monkeypatch)
+        oracle_eigenvalues(P_OSC, GridSpec.default(GridMode.FLAT, P_OSC, 40000))
+        assert routes == [(625, True), (5000, True), (40000, True)]
+
+    @pytest.mark.parametrize("n_eigs, expected", [
+        # the companion's shifts leave levels from about 65 on above tau
+        (100, [(1000, True), (8000, False), (8000, True)]),
+        (400, [(8000, True)]),  # no companion: 1000 points < 4 n_eigs
+    ])
+    def test_many_levels_are_certified_on_bisection_shifts(self, monkeypatch, n_eigs, expected):
+        p = replace(P_OSC, ell=0)
+        grid = GridSpec.default(GridMode.FLAT, p, 8000)
+        routes = self.routes(monkeypatch)
+        got = oracle_eigenvalues(p, grid, n_eigs, residual_tol=None)
+        assert routes == expected
+        exact = np.array([flat_exact_spectrum(p, i) for i in range(5)])
+        assert np.all(np.diff(got.eigenvalues) > 0)
+        assert np.max(np.abs(got.eigenvalues[:5] - exact) / exact) <= 1e-4
 
     @pytest.mark.parametrize("doctor", ["levels-1-to-5", "duplicated-shift"])
     def test_bad_shifts_fall_back_to_bisection(self, monkeypatch, doctor):
@@ -516,10 +600,11 @@ class TestCompanion:
             return shifts[keep], starts[:, keep]
 
         monkeypatch.setattr(oracle_mod, "_companion_shifts", doctored)
-        sizes = self.sizes(monkeypatch)
+        shifts = np.sort(oracle_mod._bisection(diag, off, 5, tau)[0])
+        values, vectors = oracle_mod._refined_eigenpairs(diag, off, shifts, np.ones((4000, 5)), tau)
+        routes = self.routes(monkeypatch)
         got = oracle_eigenvalues(p, grid, residual_tol=None)
-        assert sizes == [500, 4000]
-        values, vectors = oracle_mod._lowest_eigenpairs(diag, off, 5, tau)
+        assert routes == [(500, True), (4000, False), (4000, True)]
         assert got.eigenvalues.tobytes() == values.tobytes()
         h, _, gate = oracle_mod._assemble(p, grid)
         norms = oracle_mod._residual_norms(h, gate, values, vectors)
@@ -566,15 +651,17 @@ class TestCompanion:
                 assert count == np.count_nonzero(dense <= value), (n, value)
 
     @pytest.mark.parametrize("mode", [GridMode.OUTER, GridMode.CORE])
-    def test_an_overflowing_refinement_falls_back_to_the_same_error(self, monkeypatch, mode):
-        # at flux 1e80 the refinement refuses its non-finite pairs, silently, and
-        # bisection on the fine grid then meets today's refusal
+    def test_an_overflowing_grid_meets_the_same_error(self, monkeypatch, mode):
+        # at flux 1e80 the matrix is all but diagonal: the companion's shifts are
+        # refused on the fine grid and its bisection shifts certified, the
+        # residual gate's terms then overflow, and the grid meets today's
+        # refusal without a last resort
         p = PhysicalParams(model=Model.OSCILLATOR, mass=1.0, omega0=2.0, beta=0.5, k=0.5,
                            ell=2, flux=1e80)
-        sizes = self.sizes(monkeypatch)
+        routes = self.routes(monkeypatch)
         with pytest.raises(InvalidParameterError, match="residual .* is not finite"):
             oracle_eigenvalues(p, GridSpec.default(mode, p))
-        assert sizes[0] == 500 and sizes[-1] == 4000
+        assert routes == [(500, True), (4000, False), (4000, True)]
 
 
 def same(ours, theirs):
