@@ -34,6 +34,17 @@ no route goes through ``numpy.polynomial``.  The root loops stay apart:
 :func:`truncation_solve` polishes each root on its own, which is faster
 at one point, and the kernel polishes every candidate of the axis at once.
 
+Both root loops polish by one rule.  The seeds are the companion
+matrix's eigenvalues whose imaginary part is at most 1e-8 (1 + |re|);
+Newton's method then runs on each from its real part.  It stops where
+p'(x) = 0, after a step of at most 1e-15 (1 + |x|), after 60 steps, or
+at the first step that is not smaller in magnitude than the one before
+it, which is not taken: a root whose steps stop shrinking has reached
+the rounding noise of the monomial coefficients, and further steps only
+move it around in that noise.  Every polished root must then pass the
+backward-error bound |p(x)| <= ``ROOT_RESIDUAL_TOL`` sum_k |a_k| |x|^k,
+and roots within 1e-8 (relative) of each other count once.
+
 The ground-state series seed c_1 has its own closed form per branch,
 which :func:`ground_state_wavefunction` uses; at the closed-form spectral
 value, with the analytic route's rate, it equals the recurrence seed.
@@ -243,11 +254,11 @@ def _companions(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _real_roots(coeffs: list[float]) -> list[float]:
-    """Real roots of an ascending-coefficient polynomial, Newton-polished.
+    """Real roots of an ascending-coefficient polynomial, sorted.
 
-    Seeds come from the companion matrix; each near-real candidate is
-    polished and then required to satisfy a backward-error bound
-    ``|p(x)| <= 1e-10 * sum_k |a_k| |x|^k``.
+    Companion seeds, Newton polish, backward-error bound and dedup by the
+    rule in the module docstring, one root at a time; a root that fails
+    the bound raises :class:`TruncationError`.
     """
     try:
         with np.errstate(over="ignore"):  # an overflowed companion entry fails just below
@@ -261,14 +272,18 @@ def _real_roots(coeffs: list[float]) -> list[float]:
         if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
             continue
         x = float(z.real) + 0.0  # -0.0 -> 0.0, as numpy's root mapping did
+        last = math.inf
         for _ in range(60):
             fpx = _horner(deriv, x)
             if fpx == 0.0:
                 break
             step = _horner(coeffs, x) / fpx
+            if abs(step) >= last:
+                break
             x -= step
             if abs(step) <= 1e-15 * (1.0 + abs(x)):
                 break
+            last = abs(step)
         residual = _horner(coeffs, x)
         if abs(residual) > ROOT_RESIDUAL_TOL * max(_horner(magnitudes, abs(x)), 1e-300):
             raise TruncationError(f"root polish failed: residual {residual:.3e} at x = {x!r}")
@@ -396,11 +411,12 @@ class N1Levels:
 def _polished_roots(
     c: list[np.ndarray], skip: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real roots of the quadratics ``c``, by the rule of ``_real_roots``.
+    """Real roots of the quadratics ``c``, by the rule in the module docstring.
 
-    One ``eigvals`` call on the stack of companion matrices, then the same
-    imaginary-part filter, Newton polish, backward-error test and 1e-8
-    dedup, run on every candidate at once.  Returns (roots, count, failed):
+    One ``eigvals`` call on the stack of companion matrices, then the
+    rule's imaginary-part filter, Newton polish, backward-error test and
+    dedup, run on every candidate at once, so each root is bit for bit
+    the one ``_real_roots`` returns.  Returns (roots, count, failed):
     the sorted roots, shape (N, 2), how many of them are real and
     distinct, and the rows that fail the backward-error test.  Rows in
     ``skip`` are not solved and count as failed.
@@ -414,6 +430,7 @@ def _polished_roots(
     c0, c1, c2 = (np.reshape(a, (-1, 1)) for a in c)
     d1 = 2.0 * c2
     active = kept.copy()
+    last = np.full(x.shape, np.inf)
     for _ in range(60):
         if not active.any():
             break
@@ -421,8 +438,10 @@ def _polished_roots(
         fpx = _horner((c1, d1), x)
         active &= fpx != 0.0
         step = fx / fpx
+        active &= ~(np.abs(step) >= last)
         x = np.where(active, x - step, x)
         active &= ~(np.abs(step) <= 1e-15 * (1.0 + np.abs(x)))
+        last = np.abs(step)
     ax = np.abs(x)
     scale = _horner((np.abs(c0), np.abs(c1), np.abs(c2)), ax)
     residual = _horner((c0, c1, c2), x)

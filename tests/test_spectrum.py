@@ -24,8 +24,12 @@ from screwspec import (
 )
 from screwspec.series import _seed, _triple
 from screwspec.spectrum import (
+    ROOT_RESIDUAL_TOL,
+    LambdaPolynomialTable,
     TruncationError,
     _companions,
+    _horner,
+    _polished_roots,
     _real_roots,
     _table,
     closed_form_discriminant,
@@ -442,14 +446,111 @@ class TestHighOrderTruncation:
         with pytest.raises(TruncationError, match=message):
             truncation_solve(P_OSC, n)
 
-    def test_failed_polish_raises_the_typed_error(self):
-        p = PhysicalParams(
-            model=Model.INVERSE_SQUARE, mass=1.3121918303736375,
-            beta=0.35979832337616935, k=0.9608369981557852, ell=2,
-            gamma=0.028319671145462966, flux=0.2485665529991279,
+    def test_failed_polish_raises_the_typed_error(self, monkeypatch):
+        # s^2 + 1e-20 has no real root, yet its companion eigenvalues +-1e-10 i
+        # pass the 1e-8 imaginary-part filter.  With positive coefficients on
+        # even powers only, |p(x)| = sum_k |a_k| |x|^k at every real x: the
+        # backward error is 1 wherever the polish ends
+        coeffs = [1e-20, 0.0, 1.0]
+        with pytest.raises(TruncationError, match="root polish failed"):
+            _real_roots(coeffs)
+        with np.errstate(all="ignore"):  # as in n1_levels: the kernel divides by p'(0) = 0
+            _, _, failed = _polished_roots([np.array([c]) for c in coeffs], np.array([False]))
+        assert failed.tolist() == [True]
+        # and truncation_solve raises it where c_{n+1} is that polynomial
+        entries = lambda_polynomials(P_OSC, 3).entries
+        monkeypatch.setattr(
+            "screwspec.spectrum.lambda_polynomials",
+            lambda p, n_max: LambdaPolynomialTable(entries[:2] + (coeffs,) + entries[3:]),
         )
         with pytest.raises(TruncationError, match="root polish failed"):
-            truncation_solve(p, 70)
+            truncation_solve(P_OSC, 1)
+
+
+def reference_polish(coeffs):
+    """Newton's polish of each kept companion seed, without the rule that its steps shrink.
+
+    The loop stops where p'(x) = 0, after a step of at most 1e-15 (1 + |x|)
+    or after 60 steps.
+    Returns (x, met, shrank) per seed: ``met`` where the 1e-15 test
+    stopped it, ``shrank`` where every step was smaller than the one
+    before.
+    """
+    seeds = np.linalg.eigvals(_companions(np.asarray(coeffs, dtype=float)))
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    out = []
+    for z in seeds:
+        if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
+            continue
+        x, met, shrank, last = float(z.real) + 0.0, False, True, math.inf
+        for _ in range(60):
+            fpx = _horner(deriv, x)
+            if fpx == 0.0:
+                break
+            step = _horner(coeffs, x) / fpx
+            shrank &= abs(step) < last
+            last = abs(step)
+            x -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(x)):
+                met = True
+                break
+        out.append((x, met, shrank))
+    return out
+
+
+def traced_real_roots(coeffs, monkeypatch):
+    """``_real_roots(coeffs)`` and the Newton steps it took on each root.
+
+    Counts the ``_horner`` calls: the polish evaluates p' (one degree
+    lower) once per step, and each root ends with the backward-error
+    sum, the other call on a list that is not ``coeffs`` itself.
+    """
+    calls = []
+
+    def counting(c, x):
+        calls.append("d" if len(c) == len(coeffs) - 1 else "p" if c is coeffs else "|")
+        return _horner(c, x)
+
+    with monkeypatch.context() as m:
+        m.setattr("screwspec.spectrum._horner", counting)
+        roots = _real_roots(coeffs)
+    return roots, [run.count("d") for run in "".join(calls).split("|")[:-1]]
+
+
+class TestNewtonPolish:
+    def test_shrinking_steps_end_on_the_bits_of_the_plain_loop(self):
+        tally = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+        for p in random_points(16, 40):
+            for n in range(2, 19):
+                coeffs = lambda_polynomials(p, n + 2).entries[n + 1]
+                got = {x.hex() for x in _real_roots(coeffs)}
+                for x, met, shrank in reference_polish(coeffs):
+                    tally[met, shrank] += 1
+                    if met and shrank:
+                        assert x.hex() in got, (p, n, x)
+        # most roots converge with shrinking steps; some walk in rounding
+        # noise until the 60-step cap, and some meet the 1e-15 test only by
+        # a lucky step in that noise, after a step that grew
+        assert tally[True, True] > 2000
+        assert tally[False, False] > 100
+        assert tally[True, False] > 100
+
+    def test_steps_per_root_are_few_and_every_root_passes_the_bound(self, monkeypatch):
+        steps, capped = [], 0
+        for p in random_points(17, 40):
+            for n in (16, 17, 18):
+                coeffs = lambda_polynomials(p, n + 2).entries[n + 1]
+                roots, per_root = traced_real_roots(coeffs, monkeypatch)
+                steps += per_root
+                capped += sum(not met for _, met, _ in reference_polish(coeffs))
+                for x in roots:
+                    residual = abs(npp.polyval(x, coeffs))
+                    assert residual <= ROOT_RESIDUAL_TOL * npp.polyval(abs(x), np.abs(coeffs))
+        assert len(steps) > 500
+        assert max(steps) <= 12
+        assert sum(steps) <= 4 * len(steps)
+        # where the plain loop ran into its 60-step cap
+        assert capped > 50
 
 
 def reference_closed_form(p):
