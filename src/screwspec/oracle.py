@@ -215,27 +215,26 @@ def _coefficients(
 
 def _assemble(
     p: PhysicalParams, grid: GridSpec
-) -> tuple[float, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Spacing, the diagonal of the tridiagonal matrix, and the residual gate's inputs.
+) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Spacing, both diagonals of the tridiagonal matrix, and the residual gate's inputs.
 
     The gate's inputs are ``(weight, damp, W)`` of :func:`_coefficients`.
     A grid that starts at r = 0 (flat or core: an outer grid starts at or
-    above beta) takes the matched diagonal there.
+    above beta) takes the matched diagonal there, from one table of the
+    powers k^nu, k = 0 .. N + 1.
     """
     n = grid.n_points
     h = (grid.r_max - grid.r_min) / (n + 1)
-    idx = np.arange(1, n + 1, dtype=float)
-    r = grid.r_min + idx * h
+    r = grid.r_min + np.arange(1, n + 1, dtype=float) * h
     c0, damp, pot, normal, weight = _coefficients(p, grid.mode, r)
     if grid.r_min == 0.0:
-        nu = 0.5 + math.sqrt(c0 + 0.25)
-        up = (idx + 1.0) ** nu
-        down = np.where(idx > 1, idx - 1.0, 0.0) ** nu
-        w = (up - 2.0 * idx**nu + down) / (idx**nu * h * h)
+        powers = np.arange(n + 2, dtype=float) ** (0.5 + math.sqrt(c0 + 0.25))
+        mid = powers[1:-1]
+        w = (powers[2:] - 2.0 * mid + powers[:-2]) / (mid * h * h)
         diag = 2.0 / h**2 + (normal - c0 / r**2) + w
     else:
         diag = 2.0 / h**2 + normal
-    return h, diag, (weight, damp, pot)
+    return h, diag, np.full(n - 1, -1.0 / h**2), (weight, damp, pot)
 
 
 def _residual_norms(
@@ -258,13 +257,10 @@ def _residual_norms(
         psi = weight * vectors[:, jcol]
         d1 = (psi[2:] - psi[:-2]) / (2.0 * h)
         d2 = (psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h**2
-        mid = slice(1, -1)
-        res = d2 + damp[mid] * d1 + (eigenvalues[jcol] - pot[mid]) * psi[mid]
-        terms = (
-            np.abs(d2)
-            + np.abs(damp[mid] * d1)
-            + np.abs((eigenvalues[jcol] - pot[mid]) * psi[mid])
-        )
+        drift = damp[1:-1] * d1
+        level = (eigenvalues[jcol] - pot[1:-1]) * psi[1:-1]
+        res = d2 + drift + level
+        terms = np.abs(d2) + np.abs(drift) + np.abs(level)
         band = slice(trim, len(res) - trim)
         # np.sum, not np.linalg.norm: a BLAS reduction wakes OpenBLAS's
         # thread pool, which then competes with the next eigensolve
@@ -359,11 +355,10 @@ def _companion_shifts(
     are the start vectors.  None where its potential overflows.
     """
     companion = replace(grid, n_points=grid.n_points // COMPANION_FACTOR)
-    h, diag, _ = _assemble(p, companion)
+    _, diag, off, _ = _assemble(p, companion)
     if not np.isfinite(diag).all():
         return None
     n, n_coarse = grid.n_points, companion.n_points
-    off = np.full(n_coarse - 1, -1.0 / h**2)
     shifts, vectors = _lowest_eigenpairs(p, companion, diag, off, n_eigs, tol)
     # fine node i lies at i (n_coarse + 1) / (n + 1) in the companion's node
     # numbering, whose nodes 0 and n_coarse + 1 are the grid's ends
@@ -497,12 +492,11 @@ def oracle_eigenvalues(
             f"a core grid must end at or below beta = {p.beta}: got r_max = {grid.r_max}"
         )
     with np.errstate(all="ignore"):
-        h, diag, gate = _assemble(p, grid)
+        h, diag, off, gate = _assemble(p, grid)
         if not np.isfinite(diag).all():
             raise InvalidParameterError(
                 f"the potential on the {grid.mode.value} grid overflows at these parameters"
             )
-        off = np.full(grid.n_points - 1, -1.0 / h**2)
         tol = BISECTION_GAP_FRACTION * (3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2)
         eigenvalues, vectors = _lowest_eigenpairs(p, grid, diag, off, n_eigs, tol)
         norms = _residual_norms(h, gate, eigenvalues, vectors)

@@ -62,6 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import (
+    InvalidParameterError,
     Model,
     PhysicalParams,
     _derived,
@@ -502,11 +503,16 @@ def n1_levels(
     :func:`ground_state_closed_form`) or ``"truncation"`` (the roots of
     c_2, as :func:`truncation_solve` finds them at n = 1).  Every number
     is computed with the same floating-point operations as the one-point
-    routes, elementwise, so the results are bit for bit theirs.  The
-    values are not validated: that is the caller's job.  At the first
-    point it cannot solve, it raises what the one-point route raises at
-    ``p`` with ``parameter`` set to that value as the caller passed it.
+    routes, elementwise, so the results are bit for bit theirs.  Any
+    other ``method`` raises :class:`InvalidParameterError`; the values are
+    not validated: that is the caller's job.  At the first point it cannot
+    solve, it raises what the one-point route raises at ``p`` with
+    ``parameter`` set to that value as the caller passed it.
     """
+    if method not in ("closed-form", "truncation"):
+        raise InvalidParameterError(
+            f"method must be 'closed-form' or 'truncation': got {method!r}"
+        )
     size = 1 if parameter is None else len(values)
     f = {name: np.full(size, getattr(p, name), dtype=float) for name in _AXIS_FIELDS}
     if parameter is not None:

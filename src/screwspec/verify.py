@@ -278,36 +278,27 @@ def check_series_residual_alternate(rng: np.random.Generator, fast: bool, tol: f
     return "PASS", worst, "alternate denominator unexpectedly agrees"
 
 
-@dataclass(frozen=True)
-class Probe:
-    """Twice-differentiable test function with analytic derivatives."""
-
-    f: Callable[[float], float]
-    df: Callable[[float], float]
-    d2f: Callable[[float], float]
+# an analytic probe: t -> (f(t), f'(t), f''(t))
+_Probe = Callable[[float], tuple[float, float, float]]
 
 
-def gaussian_probe(width: float = 1.0, center: float = 0.0) -> Probe:
-    """Gaussian bump ``exp(-width (t - center)^2)`` with exact derivatives."""
+def gaussian_probe(width: float = 1.0, center: float = 0.0) -> _Probe:
+    """Gaussian bump ``exp(-width (t - center)^2)``: ``t -> (f, f', f'')``, exact."""
     if width <= 0:
         raise ValueError(f"width must be positive: got {width}")
 
-    def f(t: float) -> float:
-        return math.exp(-width * (t - center) ** 2)
+    def probe(t: float) -> tuple[float, float, float]:
+        u = t - center
+        f = math.exp(-width * u**2)
+        return f, -2.0 * width * u * f, (4.0 * width**2 * u**2 - 2.0 * width) * f
 
-    def df(t: float) -> float:
-        return -2.0 * width * (t - center) * f(t)
-
-    def d2f(t: float) -> float:
-        return (4.0 * width**2 * (t - center) ** 2 - 2.0 * width) * f(t)
-
-    return Probe(f=f, df=df, d2f=d2f)
+    return probe
 
 
 def changeofvar_consistency(
     p: PhysicalParams,
     spectral_value: float,
-    probe: Probe,
+    probe: _Probe,
     r: float,
 ) -> float:
     """Mismatch between the radial operator and its x-space form on a probe.
@@ -319,7 +310,7 @@ def changeofvar_consistency(
     Requires ``r > 0`` with ``|r - beta| >= 1e-6``.
     """
     x = r**2 / p.beta**2
-    fx, dfx, d2fx = probe.f(x), probe.df(x), probe.d2f(x)
+    fx, dfx, d2fx = probe(x)
     # chain rule: d/dr = (2r/beta^2) d/dx
     dxdr = 2.0 * r / p.beta**2
     psi = fx
@@ -357,7 +348,7 @@ def check_changeofvar(rng: np.random.Generator, fast: bool, tol: float) -> Outco
 def separation_residual(
     p: PhysicalParams,
     spectral: float,
-    probe: Probe,
+    probe: _Probe,
     r: float,
     angle: float = 0.7,
     z: float = 0.3,
@@ -381,7 +372,7 @@ def separation_residual(
     g = r * r - p.beta * p.beta
     energy = spectral_to_energy(p, spectral)
     lm = p.ell - p.flux  # the 3-d side keeps its own algebra: it is what the check compares
-    f, d1, d2 = probe.f(r), probe.df(r), probe.d2f(r)
+    f, d1, d2 = probe(r)
     phase = cmath.exp(1j * (p.ell * angle + p.k * z))
     angular = -(lm * lm - 2.0 * p.beta * lm * p.k + p.k * p.k * r * r) / g
     kinetic = -(d2 + (r / g) * d1 + angular * f) / (2.0 * p.mass)

@@ -383,8 +383,7 @@ def seeded_solves():
     """
     solves = []
     for p, grid in seeded_grids():
-        h, diag, gate = oracle_mod._assemble(p, grid)
-        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        h, diag, off, gate = oracle_mod._assemble(p, grid)
         finest = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, 4), tol=1e-300, eigvals_only=True
         )
@@ -495,8 +494,7 @@ class TestEigensolve:
         # level's residual above tau, and the last resort takes over.
         p = flat_critical()
         grid = GridSpec.default(GridMode.FLAT, p, n_points=500)
-        h, diag, _ = oracle_mod._assemble(p, grid)
-        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        _, diag, off, _ = oracle_mod._assemble(p, grid)
         tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / grid.r_max**2
         self.stray(monkeypatch, 0.4)
         calls, quotients = last_resorts(monkeypatch), self.quotients(monkeypatch)
@@ -509,8 +507,7 @@ class TestEigensolve:
         # converge in three solves, and their quotients are the true ones
         p = flat_critical()
         grid = GridSpec.default(GridMode.FLAT, p, n_points=500)
-        h, diag, _ = oracle_mod._assemble(p, grid)
-        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        _, diag, off, _ = oracle_mod._assemble(p, grid)
         tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / grid.r_max**2
         exact, _ = oracle_mod._lowest_eigenpairs(p, grid, diag, off, 5, tau)
         self.stray(monkeypatch, 2.0 * tau)
@@ -525,8 +522,7 @@ class TestCompanion:
 
     @staticmethod
     def system(p, grid):
-        h, diag, _ = oracle_mod._assemble(p, grid)
-        off = np.full(grid.n_points - 1, -1.0 / h**2)
+        _, diag, off, _ = oracle_mod._assemble(p, grid)
         tau = oracle_mod.BISECTION_GAP_FRACTION * (
             3.0 * math.pi**2 / (grid.r_max - grid.r_min) ** 2)
         return diag, off, tau
@@ -573,7 +569,7 @@ class TestCompanion:
         assert routes == [(625, True), (5000, True), (40000, True)]
 
     @pytest.mark.parametrize("n_eigs, expected", [
-        # the companion's shifts leave levels from about 65 on above tau
+        # at this point the companion's shifts are certified up to 55 levels
         (100, [(1000, True), (8000, False), (8000, True)]),
         (400, [(8000, True)]),  # no companion: 1000 points < 4 n_eigs
     ])
@@ -606,7 +602,7 @@ class TestCompanion:
         got = oracle_eigenvalues(p, grid, residual_tol=None)
         assert routes == [(500, True), (4000, False), (4000, True)]
         assert got.eigenvalues.tobytes() == values.tobytes()
-        h, _, gate = oracle_mod._assemble(p, grid)
+        h, *_, gate = oracle_mod._assemble(p, grid)
         norms = oracle_mod._residual_norms(h, gate, values, vectors)
         assert got.residual_norms.tobytes() == norms.tobytes()
 
@@ -684,8 +680,7 @@ class TestLapack:
 
     def test_equal_to_scipy_on_the_seeded_grids(self):
         for p, grid in seeded_grids():
-            h, diag, _ = oracle_mod._assemble(p, grid)
-            off = np.full(grid.n_points - 1, -1.0 / h**2)
+            _, diag, off, _ = oracle_mod._assemble(p, grid)
             tau = oracle_mod.BISECTION_GAP_FRACTION * 3.0 * math.pi**2 / (
                 grid.r_max - grid.r_min) ** 2
             for tol in (0.0, tau):

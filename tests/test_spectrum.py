@@ -8,6 +8,7 @@ from numpy.polynomial import polynomial as npp
 
 from screwspec import (
     Branch,
+    InvalidParameterError,
     Model,
     NegativeDiscriminantError,
     PhysicalParams,
@@ -466,6 +467,46 @@ class TestHighOrderTruncation:
         with pytest.raises(TruncationError, match="root polish failed"):
             truncation_solve(P_OSC, 1)
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the top pair of roots is found to ~6.5e-9 relative",
+    )
+    def test_seed_2406_pair_brackets_sign_changes(self):
+        # the `levels` workload's seed-2406 point: c_18 has a close pair of
+        # roots near 359.597 and 360.822, and the polish of the float64
+        # monomial coefficients leaves each too far off for c_18 to change
+        # sign across it; a Newton polish on the recurrence itself finds them
+        p = PhysicalParams(
+            model=Model.OSCILLATOR, mass=1.4906326088106017, beta=0.8482955473342463,
+            k=1.1770403039441557, ell=1, omega0=1.6837004065922838, gamma=0.7120154222212074,
+            delta=0.22310119986456223, Omega=-0.011518537369964665, flux=1.5276514809087414,
+        )
+        pair = [lv.spectral for lv in truncation_solve(p, 17) if 359.0 < lv.spectral < 361.0]
+        assert len(pair) == 2
+        for x in pair:
+            lo, hi = (mp_coefficient(p, x * (1.0 + s), 18) for s in (-1e-9, 1e-9))
+            assert lo * hi < 0, (x, lo, hi)
+
+
+def mp_coefficient(p, spectral, order):
+    """c_order at ``spectral``: the recurrence of the series module docstring in 60-digit mpmath."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        half = mpmath.mpf(1) / 2
+        beta, mass = mpmath.mpf(p.beta), mpmath.mpf(p.mass)
+        iota2 = (p.ell - mpmath.mpf(p.flux) - beta * mpmath.mpf(p.k)) ** 2
+        omega = mass * mpmath.mpf(p.omega0) * beta**2
+        j = mpmath.sqrt(2 * mass * mpmath.mpf(p.gamma) + half / 2)
+        scaled = mpmath.mpf(spectral) * beta**2
+        prev, cur = 1, (2 * omega * (1 + j) - iota2 - scaled + half + j) / (4 * (1 + j))
+        for i in range(order - 1):
+            d1 = (i + omega + 3 * half + j) * (i + 1) - (
+                iota2 + scaled - half - j - 2 * omega * (1 + j)) / 4
+            d2 = -omega * i + (scaled - omega * (3 + 2 * j)) / 4
+            prev, cur = cur, (d1 * cur + d2 * prev) / ((i + 2 + j) * (i + 2))
+        return cur
+
 
 def reference_polish(coeffs):
     """Newton's polish of each kept companion seed, without the rule that its steps shrink.
@@ -787,6 +828,12 @@ class TestN1Kernel:
         np.testing.assert_array_equal(
             _companions(stack), np.array([npp.polycompanion(c) for c in stack])
         )
+
+    @pytest.mark.parametrize("method", ["closed_form", "Truncation", ""])
+    def test_an_unknown_method_is_refused(self, method):
+        # "closed_form" once returned the truncation pair without a word
+        with pytest.raises(InvalidParameterError, match="method must be 'closed-form' or"):
+            n1_levels(P_OSC, method)
 
     @pytest.mark.parametrize("method", ["closed-form", "truncation"])
     def test_an_axis_equals_its_points(self, method):
