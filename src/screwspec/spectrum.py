@@ -44,10 +44,6 @@ the rounding noise of the monomial coefficients, and further steps only
 move it around in that noise.  Every polished root must then pass the
 backward-error bound |p(x)| <= ``ROOT_RESIDUAL_TOL`` sum_k |a_k| |x|^k,
 and roots within 1e-8 (relative) of each other count once.
-
-The ground-state series seed c_1 has its own closed form per branch,
-which :func:`ground_state_wavefunction` uses; at the closed-form spectral
-value, with the analytic route's rate, it equals the recurrence seed.
 """
 
 from __future__ import annotations
@@ -72,7 +68,7 @@ from .params import (
     derive_params,
     spectral_to_energy,
 )
-from .series import SeriesSolution, _seed, _triple
+from .series import SeriesSolution, _seed, _triple, series_coefficients
 
 __all__ = [
     "Branch",
@@ -177,10 +173,6 @@ class LambdaPolynomialTable:
 
     def entry(self, i: int) -> np.ndarray:
         return np.array(self.entries[i])
-
-    def eval(self, i: int, spectral_value: float) -> float:
-        """Value of c_i at a numeric spectral parameter."""
-        return float(_horner(self.entries[i], spectral_value))
 
 
 def _table(iota2, j, omega, b2, n_max: int) -> tuple[list[list], bool | np.ndarray]:
@@ -607,24 +599,18 @@ def ground_state_closed_form(p: PhysicalParams) -> list[EnergyLevel]:
 def ground_state_wavefunction(p: PhysicalParams, branch: Branch) -> SeriesSolution:
     """Degree-1 series for one closed-form n = 1 branch.
 
-    c_1 is the analytic per-branch expression; the plus energy branch
-    pairs with the minus sign in front of its square root and vice versa.
+    c_1 is the recurrence seed at the branch's spectral value, with the
+    analytic route's Gaussian rate ``M omega0 beta`` in place of omega.
     """
     branch = Branch(branch)
     levels = ground_state_closed_form(p)
     level = levels[0] if branch is Branch.MINUS else levels[1]
     d = derive_params(p)
-    iota, j = d.iota, d.j
     w = _closed_form_rate(vars(p))
-    sq = math.sqrt(level.discriminant)
-    sign = 1.0 if branch is Branch.MINUS else -1.0
-    if p.model is Model.OSCILLATOR:
-        c1 = (iota**2 - 2.0 * w * (j + 3.0) - j - 2.5 + sign * sq) / (4.0 * (1.0 + j))
-    else:
-        c1 = (-1.0 + sign * sq) / (4.0 * (1.0 + j))
+    c1 = _seed(d.iota**2, d.j, w, level.spectral * p.beta**2)
     return SeriesSolution(
         coeffs=np.array([1.0, c1]),
-        power=0.25 + j / 2.0,
+        power=0.25 + d.j / 2.0,
         gauss_factor=w / 2.0,
         polynomial_degree=1,
     )
@@ -633,20 +619,12 @@ def ground_state_wavefunction(p: PhysicalParams, branch: Branch) -> SeriesSoluti
 def level_series(p: PhysicalParams, level: EnergyLevel) -> SeriesSolution:
     """Terminating series attached to a truncation level.
 
-    Coefficients c_0 .. c_n are the polynomial-table values at the
-    level's spectral parameter; the tail is dropped at the truncation
-    order (the level's ``termination_defect`` records how much that
-    drops).
+    Coefficients c_0 .. c_n come from the series recurrence at the
+    level's spectral value; the tail is dropped at the truncation order
+    (the level's ``termination_defect`` records how much that drops).
     """
-    table = lambda_polynomials(p, level.n)
-    d = derive_params(p)
-    coeffs = np.array([table.eval(i, level.spectral) for i in range(level.n + 1)])
-    return SeriesSolution(
-        coeffs=coeffs,
-        power=0.25 + d.j / 2.0,
-        gauss_factor=d.omega / 2.0,
-        polynomial_degree=level.n,
-    )
+    sol = series_coefficients(p, level.spectral, level.n)
+    return dataclasses.replace(sol, polynomial_degree=level.n)
 
 
 # the columns of levels_to_json and levels_to_csv, in order

@@ -28,6 +28,13 @@ eigenvalue cells moved in their last digits, by at most 4.2e-16
 relative, and the ``residual_norm`` column began to be printed to three
 significant digits (``.2e``), the digits a norm near its rounding floor
 carries.  Standard error and every other case kept their bytes.
+Three ``wavefunction`` cases were re-recorded when every printed series
+came to be computed by the series recurrence: the closed-form c_1 became
+the recurrence seed at the closed-form level (oscillator plus, 45 of 100
+cells; inverse-square minus, 2 of 100) and a truncation level's
+coefficients the recurrence's values rather than the polynomial table
+evaluated at the root (inverse-square truncation-3, 13 of 100).  Each
+moved cell changed by at most 4.4e-15 relative.
 The file can be rewritten from any checkout with::
 
     PYTHONPATH=<checkout>/src python tests/cli_golden.py

@@ -43,6 +43,8 @@ RUN_VERIFY = (
 # (file, pattern, replacement)
 MUTATIONS = {
     "oracle-iota-without-beta-k": ("oracle.py", "p.flux - b * p.k", "p.flux"),
+    "oracle-iota-flux-sign": ("oracle.py", "p.ell - p.flux - b * p.k", "p.ell + p.flux - b * p.k"),
+    "flat-exact-flux-sign": ("oracle.py", "(p.ell - p.flux) ** 2", "(p.ell + p.flux) ** 2"),
     "oracle-iota2-sign": ("oracle.py", "+ iota**2 / g", "- iota**2 / g"),
     "oracle-trap-doubled": (
         "oracle.py", "(p.mass * p.omega0 * r) ** 2", "2.0 * (p.mass * p.omega0 * r) ** 2"

@@ -36,7 +36,7 @@ from screwspec.spectrum import (
     closed_form_discriminant,
     n1_levels,
 )
-from screwspec.verify import _audit_text, check_closed_form_audit
+from screwspec.verify import _audit_text, _random_params, check_closed_form_audit
 
 P_OSC = PhysicalParams(
     model=Model.OSCILLATOR,
@@ -104,7 +104,7 @@ class TestPolynomialTable:
                 value = rng.uniform(-20, 20)
                 sol = series_coefficients(p, value, 12)
                 for i in range(13):
-                    assert table.eval(i, value) == pytest.approx(
+                    assert _horner(table.entries[i], value) == pytest.approx(
                         sol.coeffs[i], rel=1e-11, abs=1e-12
                     )
 
@@ -158,7 +158,7 @@ class TestTruncation:
             scale = float(
                 np.polynomial.polynomial.polyval(abs(lv.spectral), np.abs(asc))
             )
-            residual = abs(table.eval(n + 1, lv.spectral))
+            residual = abs(_horner(table.entries[n + 1], lv.spectral))
             assert residual <= 1e-10 * max(1.0, scale)
             assert lv.termination_defect >= 0.0
             if n >= 2:
@@ -246,34 +246,56 @@ class TestClosedForm:
         rate = p.mass * p.omega0 * p.beta
         return _seed(d.iota**2, d.j, rate, level.spectral * p.beta**2)
 
+    @staticmethod
+    def closed_c1(p, branch):
+        """The branch's own closed form of c_1, independent of the seed.
+
+        The plus energy branch pairs with the minus sign in front of the
+        square root of the discriminant, and vice versa.
+        """
+        d = derive_params(p)
+        iota, j = d.iota, d.j
+        w = p.mass * p.omega0 * p.beta
+        sq = math.sqrt(closed_form_discriminant(p))
+        sign = 1.0 if branch is Branch.MINUS else -1.0
+        if p.model is Model.OSCILLATOR:
+            return (iota**2 - 2.0 * w * (j + 3.0) - j - 2.5 + sign * sq) / (4.0 * (1.0 + j))
+        return (-1.0 + sign * sq) / (4.0 * (1.0 + j))
+
     def test_closed_form_values_seed_terminating_series(self):
-        # At the closed-form spectral value the seed c_1 must equal the
-        # branch's closed first coefficient.
-        for p in (P_OSC, P_INV):
-            for level, branch in zip(ground_state_closed_form(p), (Branch.MINUS, Branch.PLUS)):
+        # at the closed-form spectral value the seed c_1 equals the
+        # branch's closed first coefficient
+        rng = np.random.default_rng(33)
+        seeded = [
+            _random_params(rng, Model.OSCILLATOR if i % 2 == 0 else Model.INVERSE_SQUARE)
+            for i in range(200)
+        ]
+        points = [P_OSC, P_INV] + [p for p in seeded if closed_form_discriminant(p) >= 0]
+        assert len(points) > 50
+        for p in points:
+            for branch in (Branch.MINUS, Branch.PLUS):
                 sol = ground_state_wavefunction(p, branch)
-                assert abs(sol.coeffs[1] - self.seed_at_closed_form(p, level)) <= 1e-12
+                want = self.closed_c1(p, branch)
+                assert abs(sol.coeffs[1] - want) <= 1e-12 * max(1.0, abs(want))
                 assert sol.polynomial_degree == 1
 
     def test_inverse_square_first_coefficient_frozen(self):
-        minus, plus = ground_state_closed_form(P_INV)
         c1 = ground_state_wavefunction(P_INV, Branch.MINUS).coeffs[1]
         assert c1 == pytest.approx(0.014379674853336947, rel=1e-10)
-        assert abs(c1 - self.seed_at_closed_form(P_INV, minus)) <= 1e-12
+        assert abs(c1 - self.closed_c1(P_INV, Branch.MINUS)) <= 1e-12
         c1_plus = ground_state_wavefunction(P_INV, Branch.PLUS).coeffs[1]
         assert c1_plus == pytest.approx(-0.34771300818667034, rel=1e-10)
-        assert abs(c1_plus - self.seed_at_closed_form(P_INV, plus)) <= 1e-12
+        assert abs(c1_plus - self.closed_c1(P_INV, Branch.PLUS)) <= 1e-12
 
     def test_oscillator_first_coefficient_frozen(self):
         # (-9 +/- sqrt(48)) / 6; the minus energy branch takes the plus
         # sign in front of the square root.
-        minus, plus = ground_state_closed_form(P_OSC)
         c1 = ground_state_wavefunction(P_OSC, Branch.MINUS).coeffs[1]
         assert c1 == pytest.approx(-0.34529946162074854, rel=1e-13)
-        assert abs(c1 - self.seed_at_closed_form(P_OSC, minus)) <= 1e-12
+        assert abs(c1 - self.closed_c1(P_OSC, Branch.MINUS)) <= 1e-12
         c1_plus = ground_state_wavefunction(P_OSC, Branch.PLUS).coeffs[1]
         assert c1_plus == pytest.approx(-2.6547005383792515, rel=1e-13)
-        assert abs(c1_plus - self.seed_at_closed_form(P_OSC, plus)) <= 1e-12
+        assert abs(c1_plus - self.closed_c1(P_OSC, Branch.PLUS)) <= 1e-12
 
     def test_analytic_route_uses_its_own_gaussian_rate(self):
         # The degree-1 analytic solution decays at M*omega0*beta/2; the
@@ -385,13 +407,34 @@ class TestLevelSeries:
         assert len(sol.coeffs) == 2
         assert sol.coeffs[0] == 1.0
         assert sol.coeffs[1] == pytest.approx(
-            table.eval(1, lv.spectral), rel=1e-13
+            _horner(table.entries[1], lv.spectral), rel=1e-13
         )
         # matches the raw seed at the root
         d = derive_params(P_INV)
         assert sol.coeffs[1] == pytest.approx(
             _seed(d.iota**2, d.j, d.omega, lv.spectral * P_INV.beta**2), rel=1e-12
         )
+
+    def test_coefficients_are_the_series_recurrence(self):
+        # bit for bit series_coefficients, and within rounding of the
+        # polynomial table evaluated at the root
+        rng = np.random.default_rng(17)
+        checked = 0
+        for i in range(12):
+            p = _random_params(rng, Model.OSCILLATOR if i % 2 == 0 else Model.INVERSE_SQUARE)
+            for n in range(1, 19):
+                table = lambda_polynomials(p, n).entries
+                for lv in truncation_solve(p, n):
+                    sol = level_series(p, lv)
+                    want = series_coefficients(p, lv.spectral, n)
+                    assert sol.coeffs.tobytes() == want.coeffs.tobytes()
+                    assert (sol.power, sol.gauss_factor) == (want.power, want.gauss_factor)
+                    assert sol.polynomial_degree == n
+                    values = np.array([_horner(table[k], lv.spectral) for k in range(n + 1)])
+                    largest = np.abs(sol.coeffs).max()
+                    assert np.abs(values - sol.coeffs).max() <= 1e-13 * largest
+                    checked += 1
+        assert checked > 500
 
     def test_polynomial_evaluates_without_warning(self):
         import warnings
@@ -618,10 +661,10 @@ def reference_closed_form(p):
     table = lambda_polynomials(p, 3)
     levels = []
     for s in ((center - math.sqrt(disc)) / p.beta**2, (center + math.sqrt(disc)) / p.beta**2):
-        values = [abs(table.eval(i, s)) for i in range(3)]
+        values = [abs(_horner(table.entries[i], s)) for i in range(3)]
         levels.append((
-            spectral_to_energy(p, s), s, abs(table.eval(3, s)) / max(values),
-            table.eval(1, s),
+            spectral_to_energy(p, s), s, abs(_horner(table.entries[3], s)) / max(values),
+            _horner(table.entries[1], s),
         ))
     return disc, levels
 

@@ -12,7 +12,11 @@ became ``@_check`` functions and the series layer took spectral values
 as bare floats.  The measured value of ``flat-oracle-validation`` was
 re-recorded when the oracle's eigenvalues became Rayleigh quotients, and
 the measured value and detail of ``separation-identity`` when it began
-drawing spectral values and mapping them forward to energies.
+drawing spectral values and mapping them forward to energies.  The
+``flat-oracle-validation`` entries were re-recorded once more when the
+check moved from flux 0 to flux 0.25 and its fast mode took the
+gamma = 0.5 channels as well: measured 3.5529e-6 -> 3.7419e-6, ratios
+[3.998, 3.999] -> [3.953, 3.998], and four fast channels rather than two.
 It can be rewritten from any checkout with::
 
     PYTHONPATH=<checkout>/src python tests/verify_golden.py
