@@ -26,6 +26,8 @@ truncation-failed  3     the roots of c_{n+1} cannot be trusted: at any
                          order where its top coefficient is so small that
                          its companion matrix leaves the float range (n = 1
                          with ``energy --gamma 5e307 --method truncation``)
+                         or that it, or that of a c_i below it, underflows
+                         to zero; only ``--method truncation`` meets it
 =================  ====  ==================================================
 
 Success is exit 0.  ``verify`` also exits 1 when a check fails; its report

@@ -114,6 +114,20 @@ def _seed(iota2: float, j: float, omega: float, scaled: float) -> float:
     return (2.0 * omega * (1.0 + j) - iota2 - scaled + 0.5 + j) / (4.0 * (1.0 + j))
 
 
+def _coefficients(iota2, j, omega, scaled, n: int) -> list:
+    """c_0 .. c_n of the recurrence, on bare numbers or numpy arrays, elementwise.
+
+    ``iota2`` is iota^2 and ``scaled`` is spectral * beta^2; the inputs
+    broadcast, and c_0 is the bare number 1.0.  Overflow is not checked:
+    a coefficient past the float range comes back as inf or NaN.
+    """
+    c = [1.0, _seed(iota2, j, omega, scaled)]
+    for i in range(n - 1):
+        d1, d2, d3 = _triple(i, iota2, j, omega, scaled)
+        c.append((d1 * c[i + 1] + d2 * c[i]) / d3)
+    return c
+
+
 def series_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> SeriesSolution:
     """Coefficients c_0 .. c_{n_terms} of the series solution at one spectral value.
 
@@ -125,16 +139,12 @@ def series_coefficients(p: PhysicalParams, spectral: float, n_terms: int) -> Ser
         raise ValueError(f"n_terms must be >= 1: got {n_terms}")
     d = derive_params(p)
     iota2, scaled = _square_of("iota", d.iota), spectral * p.beta**2
-    c = np.empty(n_terms + 1)
-    c[0] = 1.0
-    c[1] = _seed(iota2, d.j, d.omega, scaled)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_terms - 1):
-            d1, d2, d3 = _triple(i, iota2, d.j, d.omega, scaled)
-            nxt = (d1 * c[i + 1] + d2 * c[i]) / d3
-            if not math.isfinite(nxt) or abs(nxt) > OVERFLOW_LIMIT:
-                raise SeriesOverflowError(i + 2)
-            c[i + 2] = nxt
+        c = np.array(_coefficients(iota2, d.j, d.omega, scaled, n_terms), dtype=float)
+    # the seed is not checked: an overflowed seed shows in c_2
+    bad = ~(np.abs(c[2:]) <= OVERFLOW_LIMIT)
+    if bad.any():
+        raise SeriesOverflowError(int(bad.argmax()) + 2)
     return SeriesSolution(coeffs=c, power=0.25 + d.j / 2.0, gauss_factor=d.omega / 2.0)
 
 

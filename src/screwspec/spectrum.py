@@ -25,14 +25,19 @@ truncation roots are bit for bit those of :func:`truncation_solve`, and
 at the first point it cannot solve it raises what that point raises alone.
 
 The table of c_i as polynomials in the spectral parameter has one
-definition, the plain recurrence ``_table``: it runs on Python floats at
-one point (:func:`lambda_polynomials`, which raises where the top
-coefficient underflows) and on numpy arrays along an axis (the kernel,
-which masks those points), and every level's diagnostics come from one
-helper, ``_diagnostics``.  Polynomials are evaluated by Horner's rule;
-no route goes through ``numpy.polynomial``.  The root loops stay apart:
-:func:`truncation_solve` polishes each root on its own, which is faster
-at one point, and the kernel polishes every candidate of the axis at once.
+definition, the plain recurrence ``_table``, and one job: its entry
+c_{n+1} is the polynomial whose roots are the order-n levels.  It runs on
+Python floats at one point (:func:`lambda_polynomials`, which raises
+where a stored top coefficient underflows) and on numpy arrays along an
+axis (the kernel's truncation route, which masks those points); the
+closed form builds none.  The value of c_i at a spectral value has one
+route too, the series recurrence (``series._coefficients``): every
+level's diagnostics come from it through one helper, ``_diagnostics``,
+and the table is never evaluated for them.  Polynomials are evaluated by
+Horner's rule; no route goes through ``numpy.polynomial``.  The root
+loops stay apart: :func:`truncation_solve` polishes each root on its own,
+which is faster at one point, and the kernel polishes every candidate of
+the axis at once.
 
 Both root loops polish by one rule.  The seeds are the companion
 matrix's eigenvalues whose imaginary part is at most 1e-8 (1 + |re|);
@@ -68,7 +73,7 @@ from .params import (
     derive_params,
     spectral_to_energy,
 )
-from .series import SeriesSolution, _seed, _triple, series_coefficients
+from .series import SeriesSolution, _coefficients, _seed, _triple, series_coefficients
 
 __all__ = [
     "Branch",
@@ -110,16 +115,16 @@ class NegativeDiscriminantError(Exception):
 class TruncationError(RuntimeError):
     """The truncation route cannot give trustworthy roots at this order.
 
-    Raised when a coefficient of the polynomial table underflows so that
-    c_i loses its degree, when the companion matrix is not finite or its
-    eigenvalues do not converge, and when a polished root fails the
-    backward-error bound.  None of them is tied to high order: the
-    companion matrix leaves the float range at any order where the top
-    coefficient of c_{n+1} is small enough against the others, from
-    n = 75 on at omega0 = 2, beta = 0.5, k = 0.5, ell = 2, flux = 0.75,
-    and at n = 1 with ``screwspec energy --gamma 5e307 --method
-    truncation``, where c_2 = 0.1953 - 2.34e-156 s + 1.95e-311 s^2 in
-    the spectral parameter s.
+    Raised when a stored top coefficient of the polynomial table underflows
+    to zero so that c_i loses its degree, when the companion matrix is not
+    finite or its eigenvalues do not converge, and when a polished root
+    fails the backward-error bound.  Only the truncation route raises it:
+    the closed form builds no table.  None of them is tied to high order.
+    At omega0 = 2, beta = 0.5, k = 0.5, ell = 2, flux = 0.75 the companion
+    matrix leaves the float range at n = 75 and 76, and c_78 loses its
+    degree from n = 77 on; at n = 1, ``screwspec energy --gamma 5e307
+    --method truncation`` has c_2 = 0.1953 - 2.34e-156 s + 1.95e-311 s^2
+    in the spectral parameter s, whose companion matrix overflows.
     """
 
 
@@ -129,8 +134,10 @@ class EnergyLevel:
 
     ``branch`` and ``discriminant`` are populated for n = 1 two-root
     pairs (and closed forms); higher truncation orders leave them None.
-    ``termination_defect`` is ``|c_{n+2}| / max_i |c_i|`` at the spectral
-    value, i.e. how far the series is from terminating exactly.
+    ``termination_defect`` is ``|c_{n+2}| / max(|c_0|, ..., |c_{n+1}|)``
+    and ``c1_over_c0`` is c_1 (c_0 = 1), both from the series recurrence at
+    the spectral value; the defect says how far the series is from
+    terminating exactly.
     """
 
     n: int
@@ -185,11 +192,11 @@ def _table(iota2, j, omega, b2, n_max: int) -> tuple[list[list], bool | np.ndarr
     d1 c_{i+1} + d2 c_i is summed as ``np.convolve`` and ``polyadd`` sum
     it, so the table is bit for bit the ``numpy.polynomial`` one.
 
-    c_i loses its degree where its top coefficient, the slope times the
-    top of c_{i-1}, comes out zero.  At one point that raises
-    :class:`TruncationError`, naming the degree that ``numpy.polynomial``
-    keeps once it trims the trailing zeros; along an axis the second
-    return value marks the points where it happens.
+    c_i loses its degree where its stored top coefficient, the slope times
+    the top of c_{i-1} divided by d3, comes out zero.  At one point that
+    raises :class:`TruncationError`, naming the degree that
+    ``numpy.polynomial`` keeps once it trims the trailing zeros; along an
+    axis the second return value marks the points where it happens.
     """
     slope = b2 / 4.0
     table = [[1.0], [_seed(iota2, j, omega, 0.0), -b2 / (4.0 * (1.0 + j))]]
@@ -202,15 +209,15 @@ def _table(iota2, j, omega, b2, n_max: int) -> tuple[list[list], bool | np.ndarr
             d1 * a[k] - slope * a[k - 1] + (d2 * b[k] + slope * b[k - 1]) for k in range(1, i + 1)
         ]
         total += [d1 * a[i + 1] - slope * a[i] + slope * b[i], -slope * a[i + 1]]
-        lost_here = total[-1] == 0.0
+        table.append([t / d3 for t in total])
+        lost_here = table[-1][-1] == 0.0
         if lost_here is True:  # Python floats: one point
             # numpy.polynomial keeps up to the last nonzero coefficient; without
             # a slope both factors are constants, and so is c_2
-            nonzero = [k for k, t in enumerate(total) if t != 0.0]
+            nonzero = [k for k, t in enumerate(table[-1]) if t != 0.0]
             kept = max(nonzero, default=0) if slope != 0.0 else 0
             raise TruncationError(f"degree of c_{i + 2} is {kept}, expected {i + 2}")
         lost = lost | lost_here
-        table.append([t / d3 for t in total])
     return table, lost
 
 
@@ -220,6 +227,8 @@ def lambda_polynomials(p: PhysicalParams, n_max: int) -> LambdaPolynomialTable:
     The recurrence factors d1 and d2 are affine in the scaled parameter
     P = spectral * beta^2, so each c_i is a polynomial of degree i; the
     recurrence is run once on coefficient lists instead of numbers.
+    Raises :class:`TruncationError` where an entry's stored top
+    coefficient underflows to zero, so that it loses its degree.
     """
     n_max = _require_int("n_max", n_max)
     if n_max < 1:
@@ -289,16 +298,16 @@ def _real_roots(coeffs: list[float]) -> list[float]:
     return dedup
 
 
-def _diagnostics(table: Sequence[Sequence], n: int, spectral):
+def _diagnostics(iota2, j, omega, b2, n: int, spectral):
     """(termination_defect, c1_over_c0) of order-n levels at ``spectral``.
 
-    ``|c_{n+2}| / max(|c_0|, ..., |c_{n+1}|)`` and c_1, from the table of
-    :func:`_table` at one spectral value or at an array of them.  The
-    maximum skips NaN as Python's ``max`` does after a non-NaN first
-    item (|c_0| is NaN only where the spectral value is).
+    ``|c_{n+2}| / max(|c_0|, ..., |c_{n+1}|)`` and c_1, from the series
+    recurrence (:func:`series._coefficients`) at one spectral value or
+    elementwise on arrays.  The maximum skips NaN, so it is at least
+    |c_0| = 1.
     """
-    values = [_horner(c, spectral) for c in table[: n + 3]]
-    largest = np.fmax.reduce(np.abs(values[: n + 2]), axis=0)
+    values = _coefficients(iota2, j, omega, spectral * b2, n + 2)
+    largest = np.fmax.reduce(np.abs(values[1 : n + 2]), axis=0, initial=values[0])
     return np.abs(values[n + 2]) / largest, values[1]
 
 
@@ -309,13 +318,14 @@ def _checked_discriminant(disc: float) -> float:
     return disc
 
 
-def _level_numbers(p: PhysicalParams, table: Sequence[list], n: int, spectral: float) -> tuple:
-    """(energy, termination_defect, c1_over_c0) at ``spectral``, from a one-point table.
+def _level_numbers(p: PhysicalParams, d, n: int, spectral: float) -> tuple:
+    """(energy, termination_defect, c1_over_c0) of an order-n level at ``spectral``.
 
-    Raises ``OverflowError`` where one of them overflows.
+    ``d`` is ``derive_params(p)``.  Raises ``OverflowError`` where one of
+    them overflows.
     """
     energy = spectral_to_energy(p, spectral)
-    defect, c1_over_c0 = _diagnostics(table, n, spectral)
+    defect, c1_over_c0 = _diagnostics(d.iota**2, d.j, d.omega, p.beta**2, n, spectral)
     for name, value in (("termination_defect", defect), ("c1_over_c0", c1_over_c0)):
         if not math.isfinite(value):
             raise OverflowError(f"the {name} at spectral value {spectral!r} is {float(value)!r}")
@@ -335,8 +345,9 @@ def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
     n = _require_int("truncation order", n)
     if n < 1:
         raise ValueError(f"truncation order must be >= 1: got {n}")
-    table = lambda_polynomials(p, n + 2).entries
+    table = lambda_polynomials(p, n + 1).entries
     roots = _real_roots(table[n + 1])
+    d = derive_params(p)
     disc = None
     if n == 1:
         c0, c1, c2 = table[2]
@@ -346,7 +357,7 @@ def truncation_solve(p: PhysicalParams, n: int) -> list[EnergyLevel]:
         branch = None
         if n == 1 and len(roots) == 2:
             branch = Branch.MINUS if idx == 0 else Branch.PLUS
-        energy, defect, c1_over_c0 = _level_numbers(p, table, n, root)
+        energy, defect, c1_over_c0 = _level_numbers(p, d, n, root)
         levels.append(
             EnergyLevel(
                 n=n,
@@ -513,15 +524,15 @@ def n1_levels(
         b2, k2 = _square(f["beta"]), _square(f["k"])
         iota, omega, j = _derived(f, b2)
         iota2 = _square(iota)
-        table, lost = _table(iota2, j, omega, b2, 3)
         fault = np.isinf(iota2) & np.isfinite(iota)
         if method == "closed-form":
             disc, center, overflow = _closed_form_quadratic(p.model, f, iota2, j)
             sq = np.sqrt(disc)
             roots = np.array([(center - sq) / b2, (center + sq) / b2])
             count = 2 * ~(disc < 0)
-            fault |= overflow | ((count > 0) & lost)
+            fault |= overflow
         else:
+            table, lost = _table(iota2, j, omega, b2, 2)
             c0, c1, c2 = table[2]
             disc = c1 * c1 - 4.0 * c2 * c0
             pairs, count, failed = _polished_roots(table[2], lost | fault)
@@ -531,7 +542,7 @@ def n1_levels(
         # shape (2, N) until the transposes below: row 0 minus, row 1 plus
         present = np.arange(2)[:, None] < count
         spectral = np.where(present, roots, np.nan)
-        defect, c1_over_c0 = _diagnostics(table, 1, spectral)
+        defect, c1_over_c0 = _diagnostics(iota2, j, omega, b2, 1, spectral)
         energy = _energy(f, k2, spectral, iota)
         finite = np.isfinite(energy) & np.isfinite(defect) & np.isfinite(c1_over_c0)
         fault |= (present & ~finite).any(axis=0)
@@ -540,13 +551,13 @@ def n1_levels(
         q = p if parameter is None else dataclasses.replace(p, **{parameter: values[first]})
         if method == "closed-form":
             # the scalar steps, in order: the squares, the discriminant, then
-            # the polynomial table and each level's numbers
-            _square_of("iota", derive_params(q).iota)
+            # each level's numbers
+            d = derive_params(q)
+            _square_of("iota", d.iota)
             _square_of("the closed-form rate mass * omega0 * beta", _closed_form_rate(vars(q)))
             _checked_discriminant(float(disc[first]))
-            table = lambda_polynomials(q, 3).entries
             for value in spectral[present[:, first], first].tolist():
-                _level_numbers(q, table, 1, value)
+                _level_numbers(q, d, 1, value)
         else:
             truncation_solve(q, 1)
         raise RuntimeError(f"the n = 1 kernel faults where the one-point route succeeds: {q}")

@@ -13,7 +13,11 @@ array kernel, and can be rewritten from any checkout with::
 
 That commit left the discriminant cell of truncation rows with no real
 root empty; the test substitutes the c_2 discriminant there and compares
-the rest byte for byte.
+the rest byte for byte.  The file was re-recorded when each level's
+``termination_defect`` came to be read from the series recurrence rather
+than from the polynomial table: 167 ``termination_defect`` cells moved,
+by a median of 5.2e-16 and at most 2.1e-12 relative, and every other cell
+kept its bytes.
 """
 
 from __future__ import annotations

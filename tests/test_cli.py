@@ -121,14 +121,24 @@ class TestEnergy:
         assert data[0]["n"] == 2
 
     def test_high_truncation_order_is_exit_3(self, capsys):
-        code, out, err = run(
-            ["energy", *OSC_ARGS, "--method", "truncation", "--n", "80"], capsys
-        )
-        assert code == 3
-        assert out == ""
-        payload = json.loads(err)
-        assert payload["error"] == "truncation-failed"
-        assert payload["message"] == "degree of c_79 is 78, expected 79"
+        # the stored top coefficient of c_78 underflows to zero
+        for n in ("77", "78", "80"):
+            code, out, err = run(
+                ["energy", *OSC_ARGS, "--method", "truncation", "--n", n], capsys
+            )
+            assert code == 3
+            assert out == ""
+            payload = json.loads(err)
+            assert payload["error"] == "truncation-failed"
+            assert payload["message"] == "degree of c_78 is 77, expected 78"
+
+    @pytest.mark.parametrize("method", ["closed-form", "truncation"])
+    def test_tiny_beta_is_solved(self, capsys, method):
+        # the top coefficient of c_3 underflows here, and n = 1 does not need c_3
+        argv = ["energy", "--ell", "2", "--beta", "1e-55", "--method", method]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert [level["branch"] for level in json.loads(out)] == ["minus", "plus"]
 
     def test_closed_form_rejects_higher_orders(self, capsys):
         code, _, err = run(["energy", *OSC_ARGS, "--n", "2"], capsys)

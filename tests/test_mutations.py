@@ -12,6 +12,10 @@ there reaches every route alike and no comparison of two routes can see
 it; those rows are caught by the checks against independent algebra
 (``separation-identity``, ``series-residual``, ``rotation-affinity``).
 
+The ``table-`` rows change the polynomial table that the truncation roots
+are found on; ``truncation-self-consistency`` sees them because it tests
+each root on the series recurrence, not on that table.
+
 Known blind spot, asserted as a strict xfail: the oracle's own ι at b
 without its βk term passes every check, because no check yet compares the
 outer or core grids with a route that takes ι from ``params``.  The row
@@ -50,6 +54,14 @@ MUTATIONS = {
         "oracle.py", "(p.mass * p.omega0 * r) ** 2", "2.0 * (p.mass * p.omega0 * r) ** 2"
     ),
     "series-d2-sign": ("series.py", "d2 = -omega * i", "d2 = +omega * i"),
+    "table-d2-sign": ("spectrum.py", "d1 * a[0] + d2 * b[0]", "d1 * a[0] - d2 * b[0]"),
+    "table-d1-slope-sign": (
+        "spectrum.py", "d1 * a[k] - slope * a[k - 1]", "d1 * a[k] + slope * a[k - 1]"
+    ),
+    "table-d2-slope-sign": (
+        "spectrum.py", "(d2 * b[k] + slope * b[k - 1])", "(d2 * b[k] - slope * b[k - 1])"
+    ),
+    "table-top-slope-sign": ("spectrum.py", "+ slope * b[i]", "- slope * b[i]"),
     "oracle-normal-form": ("oracle.py", "(r**2 + 2.0 * b**2)", "(r**2 + 3.0 * b**2)"),
     "iota-beta-k-sign": ("params.py", '- f["beta"] * f["k"]', '+ f["beta"] * f["k"]'),
     "j-squared-offset": ("params.py", 'f["gamma"] + 0.25)', 'f["gamma"] + 0.2)'),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
+from numpy.polynomial import polyutils as pu
 
 from screwspec import (
     Branch,
@@ -475,15 +476,15 @@ class TestJson:
 
 
 class TestHighOrderTruncation:
-    # the README point: companion entries overflow at n = 75-76, and c_79
-    # loses its leading coefficient from n = 77 on
+    # the README point: companion entries overflow at n = 75-76, and the
+    # stored top coefficient of c_78 underflows to zero from n = 77 on
     @pytest.mark.parametrize(
         "n, message",
         [
             (75, "companion eigenvalues failed"),
             (76, "companion eigenvalues failed"),
-            (77, "degree of c_79 is 78, expected 79"),
-            (80, "degree of c_79 is 78, expected 79"),
+            (77, "degree of c_78 is 77, expected 78"),
+            (80, "degree of c_78 is 77, expected 78"),
         ],
     )
     def test_raises_the_typed_error(self, n, message):
@@ -529,6 +530,22 @@ class TestHighOrderTruncation:
         for x in pair:
             lo, hi = (mp_coefficient(p, x * (1.0 + s), 18) for s in (-1e-9, 1e-9))
             assert lo * hi < 0, (x, lo, hi)
+
+
+class TestDiagnostics:
+    def test_termination_defect_is_the_recurrence_value(self):
+        # a wide-range point: evaluated at the root, the monomial table puts the
+        # defect up to 2.15 from its 60-digit value, the recurrence within 0.014
+        p = list(random_points(33, 40))[12]
+        worst, levels = 0.0, 0
+        for n in range(11, 19):
+            for lv in truncation_solve(p, n):
+                c = [abs(mp_coefficient(p, lv.spectral, k)) for k in range(1, n + 3)]
+                want = c[n + 1] / max([1] + c[: n + 1])
+                worst = max(worst, abs(lv.termination_defect - float(want)))
+                levels += 1
+        assert levels > 100
+        assert worst <= 0.05
 
 
 def mp_coefficient(p, spectral, order):
@@ -641,8 +658,8 @@ def reference_closed_form(p):
     """The n = 1 closed form at one point, in Python floats.
 
     The scalar formula the array kernel replaced, with its diagnostics
-    from the polynomial table; :func:`ground_state_closed_form` must equal
-    it bit for bit.
+    from the series recurrence run in Python floats;
+    :func:`ground_state_closed_form` must equal it bit for bit.
     """
     d = derive_params(p)
     iota, j = d.iota, d.j
@@ -658,13 +675,15 @@ def reference_closed_form(p):
         center = j + 1.5 - iota**2
     if disc < 0:
         return disc, []
-    table = lambda_polynomials(p, 3)
     levels = []
     for s in ((center - math.sqrt(disc)) / p.beta**2, (center + math.sqrt(disc)) / p.beta**2):
-        values = [abs(_horner(table.entries[i], s)) for i in range(3)]
+        scaled = s * p.beta**2
+        c = [1.0, _seed(iota**2, j, d.omega, scaled)]
+        for i in range(2):
+            d1, d2, d3 = _triple(i, iota**2, j, d.omega, scaled)
+            c.append((d1 * c[i + 1] + d2 * c[i]) / d3)
         levels.append((
-            spectral_to_energy(p, s), s, abs(_horner(table.entries[3], s)) / max(values),
-            _horner(table.entries[1], s),
+            spectral_to_energy(p, s), s, abs(c[3]) / max(abs(v) for v in c[:3]), c[1],
         ))
     return disc, levels
 
@@ -690,10 +709,11 @@ def random_points(seed, count):
 def reference_table(p, n_max):
     """c_0 .. c_{n_max} built with ``numpy.polynomial``, as the package once built it.
 
-    ``npp.polymul`` and ``polyadd`` trim trailing zeros, so an entry whose
-    top coefficient underflows comes out short; the first short entry
-    raises.  :func:`lambda_polynomials` must equal this table bit for bit
-    and raise where it raises, with the same message.
+    ``npp.polymul`` and ``polyadd`` trim trailing zeros, and each entry is
+    trimmed again after its division by d3, so an entry whose stored top
+    coefficient underflows comes out short; the first short entry raises.
+    :func:`lambda_polynomials` must equal this table bit for bit and raise
+    where it raises, with the same message.
     """
     d = derive_params(p)
     iota, j, omega, b2 = d.iota, d.j, d.omega, p.beta**2
@@ -709,7 +729,7 @@ def reference_table(p, n_max):
         d1 = np.array([d1_const, -b2 / 4.0])
         d2 = np.array([d2_const, b2 / 4.0])
         nxt = npp.polyadd(npp.polymul(d1, entries[i + 1]), npp.polymul(d2, entries[i]))
-        entries.append(nxt / d3)
+        entries.append(pu.trimseq(nxt / d3))
     for i, e in enumerate(entries):
         if len(e) != i + 1:
             raise TruncationError(f"degree of c_{i} is {len(e) - 1}, expected {i}")

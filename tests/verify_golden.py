@@ -17,6 +17,12 @@ drawing spectral values and mapping them forward to energies.  The
 check moved from flux 0 to flux 0.25 and its fast mode took the
 gamma = 0.5 channels as well: measured 3.5529e-6 -> 3.7419e-6, ratios
 [3.998, 3.999] -> [3.953, 3.998], and four fast channels rather than two.
+The four measured values of ``truncation-self-consistency`` were
+re-recorded when the check began to test each root on the series
+recurrence (|c_{n+1}| / max(|c_0|, ..., |c_n|)) rather than on the
+polynomial table that found it: 1.9e-16 -> 7.1e-16 (seed 20260814,
+full), 9.9e-17 -> 4.9e-16 (fast), 1.4e-16 -> 1.6e-15 (seed 7, full) and
+1.1e-16 -> 5.6e-16 (fast).
 It can be rewritten from any checkout with::
 
     PYTHONPATH=<checkout>/src python tests/verify_golden.py
